@@ -56,6 +56,10 @@ def _parse_int(tok: str) -> int:
     return int(tok, 0)
 
 
+#: minimum argument count of each data/layout directive
+_DIRECTIVE_ARGS = {".memory": 1, ".f64": 1, ".i64": 1, ".space": 2}
+
+
 class Assembler:
     """Two-pass assembler (labels forward-referenced freely)."""
 
@@ -130,6 +134,9 @@ class Assembler:
     def _directive(self, b: ProgramBuilder, line: str) -> None:
         parts = line.split()
         head, args = parts[0], parts[1:]
+        if len(args) < _DIRECTIVE_ARGS.get(head, 0):
+            raise ValueError(f"{head} needs {_DIRECTIVE_ARGS[head]} "
+                             f"argument(s)")
         if head == ".program":
             b.name = args[0] if args else b.name
         elif head == ".memory":

@@ -38,6 +38,38 @@ if TYPE_CHECKING:  # pragma: no cover
 
 from .scalar_unit import CODE_BASE, INSTR_BYTES
 
+_FAR_FUTURE = 1 << 62
+
+#: hazard-record classes for the decoupled-slip scan
+_OTHER, _LOAD, _ADDR, _BOUNDARY = range(4)
+
+
+def _hazard_record(spec, reads, writes) -> tuple:
+    """``(class, read mask, write mask, dst, reads)`` of one op.
+
+    The class says what the slip scan does with the op: stop at a
+    control boundary, try to issue a load or an integer address op, or
+    only note its registers.  The masks carry one bit per register uid.
+    """
+    if spec.is_barrier or spec.is_halt or spec.is_vltcfg or spec.is_vector:
+        kind = _BOUNDARY
+    elif not writes:
+        kind = _OTHER   # no destination: always a hazard, never slips
+    elif spec.is_load:
+        kind = _LOAD
+    elif (spec.pool == "arith" and not spec.is_branch
+          and all(u < 32 for u in writes)):
+        kind = _ADDR
+    else:
+        kind = _OTHER
+    rmask = 0
+    for u in reads:
+        rmask |= 1 << u
+    wmask = 0
+    for u in writes:
+        wmask |= 1 << u
+    return (kind, rmask, wmask, writes[0] if writes else None, reads)
+
 
 class LaneCore:
     """One lane operating as an independent 2-way in-order scalar core."""
@@ -65,11 +97,27 @@ class LaneCore:
         self.finish_time: Optional[int] = None
         #: trace indices of loads issued early by decoupled slip
         self.pre_issued: set = set()
+        #: one :func:`_hazard_record` per trace op
+        self.hazards: List[tuple] = []
+        #: slip memo: no scan can issue before this cycle (0: unknown)
+        self.slip_wake = 0
 
     def add_thread(self, tid: int, trace: List[DynOp]) -> None:
         self.tid = tid
         self.trace = trace
         self.halted = False
+        memo: dict = {}
+        hazards = []
+        for op in trace:
+            # keyed on the spec's identity: hashing the frozen OpSpec
+            # dataclass hashes every one of its fields
+            key = (id(op.spec), op.reads, op.writes)
+            rec = memo.get(key)
+            if rec is None:
+                rec = memo[key] = _hazard_record(op.spec, op.reads,
+                                                 op.writes)
+            hazards.append(rec)
+        self.hazards = hazards
 
     # ------------------------------------------------------------------
 
@@ -80,6 +128,7 @@ class LaneCore:
             # execute stream stalled: the access stream keeps running
             self._slip(cycle, 2)
             return
+        self.slip_wake = 0   # the in-order path changes what a scan sees
         budget = self.cfg.width
         mem_slots = 2  # two memory ports per lane (Table 3)
         trace = self.trace
@@ -210,37 +259,49 @@ class LaneCore:
         ``decouple_depth`` instructions and ``budget`` issues per cycle
         (the lane is still a 2-wide machine).  Memory-order hazards are
         not modelled, as in the rest of the timing simulator.
+
+        Slip memo: a scan reads only ``idx``, ``pre_issued`` and
+        ``reg_ready``.  Lane registers are private to the lane and the
+        L2 is touched only on issue, so nothing outside the lane changes
+        what the next scan sees.  Ops a scan issues are skipped by later
+        scans, and the ops it leaves keep their hazard status and ready
+        times: an issued op was never in the hazard sets, and it cannot
+        write a register an earlier unissued op reads (that is an
+        anti-dependence hazard).  So a scan that examines its whole
+        window records in :attr:`slip_wake` the earliest cycle at which
+        a hazard-free candidate's sources are ready, and every scan
+        before that cycle returns at once.  The in-order path and a scan
+        that uses up its issue budget clear the memo.
         """
+        if cycle < self.slip_wake or budget == 0:
+            return
         trace = self.trace
+        hazards = self.hazards
         reg_ready = self.reg_ready
+        pre_issued = self.pre_issued
         mem_slots = 2
-        written: set = set()
-        read: set = set()
-        head = trace[self.idx]
-        written.update(head.writes)
-        read.update(head.reads)
+        _, read, written, _, _ = hazards[self.idx]
+        wake = _FAR_FUTURE
         limit = min(len(trace), self.idx + 1 + self.cfg.decouple_depth)
         for j in range(self.idx + 1, limit):
-            if budget == 0:
-                return
-            if j in self.pre_issued:
+            if j in pre_issued:
                 continue
-            op = trace[j]
-            spec = op.spec
-            if spec.is_barrier or spec.is_halt or spec.is_vltcfg \
-                    or spec.is_vector:
-                return
+            kind, rmask, wmask, dst, reads = hazards[j]
+            if kind == _BOUNDARY:
+                break
             # candidates: loads, and scalar-integer address arithmetic
-            is_addr_op = (spec.pool == "arith" and not spec.is_branch
-                          and op.writes
-                          and all(u < 32 for u in op.writes))
-            if (spec.is_load and mem_slots > 0) or is_addr_op:
-                dst = op.writes[0] if op.writes else None
-                hazard = (dst is None or dst in written or dst in read
-                          or any(u in written for u in op.reads))
-                if not hazard and all(reg_ready[u] <= cycle
-                                      for u in op.reads):
-                    if spec.is_load:
+            if (kind == _ADDR or (kind == _LOAD and mem_slots > 0)) \
+                    and not ((1 << dst) & (written | read)
+                             or rmask & written):
+                ready = 0
+                for u in reads:
+                    t = reg_ready[u]
+                    if t > ready:
+                        ready = t
+                if ready <= cycle:
+                    op = trace[j]
+                    spec = op.spec
+                    if kind == _LOAD:
                         done = self.l2.access(int(op.addrs[0]),
                                               cycle + spec.latency)
                         mem_slots -= 1
@@ -249,7 +310,7 @@ class LaneCore:
                     reg_ready[dst] = done
                     if done > self.last_done:
                         self.last_done = done
-                    self.pre_issued.add(j)
+                    pre_issued.add(j)
                     self.stats.issued += 1
                     obs = self.obs
                     if obs.enabled:
@@ -257,9 +318,15 @@ class LaneCore:
                                        f"lane{self.lane_idx}", op,
                                        dur=done - cycle, arg="slip"))
                     budget -= 1
+                    if budget == 0:
+                        wake = 0    # later candidates were not examined
+                        break
                     continue
-            written.update(op.writes)
-            read.update(op.reads)
+                if ready < wake:
+                    wake = ready
+            written |= wmask
+            read |= rmask
+        self.slip_wake = wake
 
     def resume(self, at: int) -> None:
         """Barrier release: resume fetching at cycle ``at``."""
@@ -268,7 +335,8 @@ class LaneCore:
 
     def next_event(self, cycle: int) -> int:
         if self.halted or self.waiting_barrier:
-            return 1 << 62
-        # even while the execute stream is stalled, the decoupled access
-        # stream may issue work next cycle, so stay schedulable
-        return cycle + 1
+            return _FAR_FUTURE
+        # a stalled lane changes no state before its execute stream
+        # resumes or its slip memo expires (0 when no memo is held)
+        t = min(self.stall_until, self.slip_wake)
+        return t if t > cycle else cycle + 1

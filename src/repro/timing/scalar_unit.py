@@ -185,6 +185,8 @@ class ScalarUnit:
     # -- main per-cycle step ---------------------------------------------------
 
     def step(self, cycle: int) -> None:
+        if not self.contexts:
+            return  # no thread placed here (e.g. lane-core runs)
         self._commit(cycle)
         self._wakeup(cycle)
         self._issue(cycle)
@@ -480,33 +482,26 @@ class ScalarUnit:
 
     def next_event(self, cycle: int) -> int:
         """Earliest future cycle at which this SU can make progress."""
-        best = None
-
-        def consider(t: Optional[int]) -> None:
-            nonlocal best
-            if t is not None and (best is None or t < best):
-                best = t
-
         if self._issueq_arith or self._issueq_mem:
             return cycle + 1
+        best = 1 << 62
         for ctx in self.contexts:
             if ctx.halted or ctx.waiting_barrier:
                 continue
             if ctx.can_fetch(cycle):
                 return cycle + 1
             if ctx.rob:
-                head = ctx.rob[0]
-                if head.done_time is not None:
-                    consider(max(cycle + 1, head.done_time))
-            if (ctx.blocked_on_branch is None and not ctx.done_fetching
-                    and len(ctx.rob) >= ctx.window_limit):
-                # window-full: progress at next commit
-                pass
+                t = ctx.rob[0].done_time
+                if t is not None and t < best:
+                    best = t if t > cycle else cycle + 1
             if ctx.fetch_stalled_until > cycle and ctx.blocked_on_branch is None:
-                consider(ctx.fetch_stalled_until)
+                if ctx.fetch_stalled_until < best:
+                    best = ctx.fetch_stalled_until
         if self._ready_heap:
-            consider(max(cycle + 1, self._ready_heap[0][0]))
-        return best if best is not None else 1 << 62
+            t = self._ready_heap[0][0]
+            if t < best:
+                best = t if t > cycle else cycle + 1
+        return best
 
     @property
     def all_done(self) -> bool:

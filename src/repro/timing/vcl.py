@@ -58,7 +58,7 @@ class VEntry:
     """An in-flight vector instruction inside the VCL."""
 
     __slots__ = ("dynop", "seq", "sentry", "scalar_unmet", "vec_unmet",
-                 "ready", "subscribers", "issued", "transfer")
+                 "ready", "subscribers", "issued", "transfer", "writes_vreg")
 
     def __init__(self, dynop: DynOp, seq: int, sentry, ready: int,
                  transfer: int):
@@ -71,6 +71,8 @@ class VEntry:
         self.subscribers: Optional[list] = None
         self.issued = False
         self.transfer = transfer
+        #: holds a physical vector register from dispatch to completion
+        self.writes_vreg = any(u >= V_BASE for u in dynop.writes)
 
     def notify(self, time: int) -> None:
         """A scalar producer (SEntry) announced; add the SU->VCL hop."""
@@ -108,7 +110,7 @@ class Partition:
 
     __slots__ = ("idx", "k", "viq_capacity", "reserved", "arrivals", "viq",
                  "last_writer", "fus", "ports", "last_completion",
-                 "rename_budget", "rename_pending", "util")
+                 "rename_budget", "rename_pending", "rename_queued", "util")
 
     def __init__(self, idx: int, k: int, viq_capacity: int,
                  arith_fus: int, mem_ports: int, rename_budget: int = 32):
@@ -128,6 +130,9 @@ class Partition:
         #: vector-register writer holds one from dispatch to completion.
         self.rename_budget = rename_budget
         self.rename_pending: list = []   # heap of completion times
+        #: vector-register writers dispatched but not yet issued
+        #: (arriving or in the VIQ)
+        self.rename_queued = 0
         #: per-partition datapath accounting (Figure 4 buckets); summed
         #: across partitions it is exactly the vector unit's utilization
         self.util = DatapathUtilization()
@@ -137,11 +142,7 @@ class Partition:
         pend = self.rename_pending
         while pend and pend[0] <= cycle:
             heapq.heappop(pend)
-        queued = sum(1 for v in self.viq
-                     if any(u >= V_BASE for u in v.dynop.writes))
-        arriving = sum(1 for _, _, v in self.arrivals
-                       if any(u >= V_BASE for u in v.dynop.writes))
-        return len(pend) + queued + arriving
+        return len(pend) + self.rename_queued
 
     @property
     def pending(self) -> bool:
@@ -150,8 +151,13 @@ class Partition:
     def in_flight(self, cycle: int) -> bool:
         if self.arrivals or self.viq:
             return True
-        return any(f.busy_until > cycle for f in self.fus) or \
-            any(p.busy_until > cycle for p in self.ports)
+        for f in self.fus:
+            if f.busy_until > cycle:
+                return True
+        for p in self.ports:
+            if p.busy_until > cycle:
+                return True
+        return False
 
 
 class VectorUnit:
@@ -292,6 +298,8 @@ class VectorUnit:
         for producer in pending:
             producer.subscribe(ventry)
         part.reserved += 1
+        if ventry.writes_vreg:
+            part.rename_queued += 1
         heapq.heappush(part.arrivals, (arrival, ventry.seq, ventry))
         return ventry
 
@@ -365,6 +373,8 @@ class VectorUnit:
                 continue
             viq.pop(i)
             part.reserved -= 1
+            if ventry.writes_vreg:
+                part.rename_queued -= 1
             self._execute(part, ventry, fu_idx, cycle)
             budget -= 1
         return budget
@@ -424,7 +434,7 @@ class VectorUnit:
             self.last_completion = full
         if full > part.last_completion:
             part.last_completion = full
-        if any(u >= V_BASE for u in dynop.writes):
+        if ventry.writes_vreg:
             heapq.heappush(part.rename_pending, full)
         lw = part.last_writer
         for uid in dynop.writes:
@@ -515,7 +525,10 @@ class VectorUnit:
         """True while any partition has work (the VU must be stepped)."""
         if self.last_completion > cycle:
             return True
-        return any(p.in_flight(cycle) for p in self.partitions)
+        for p in self.partitions:
+            if p.in_flight(cycle):
+                return True
+        return False
 
     def next_event(self, cycle: int) -> int:
         if self.busy(cycle):

@@ -5,6 +5,8 @@ trace arrays with cycle-window batching and steady-state memoisation.
 Its contract is exact equivalence: every :class:`RunResult` field equal
 to the event machine's, across the full figure-3/5/6 run matrix, with
 and without the steady-state skip, and with observability attached.
+The two engines share the lane cores, so the matrix is also checked
+against pinned goldens (:mod:`tests.goldens`).
 """
 
 import pytest
@@ -16,6 +18,7 @@ from repro.timing.machine import Machine, validate_engine
 from repro.timing.run import simulate_traced, trace_for
 from repro.verify import differential_check
 from repro.workloads import get_workload
+from tests import goldens
 
 #: a short but steady-state-heavy workload: vector loop body plus a
 #: tight scalar inner loop, enough iterations for the period-skip to arm
@@ -79,15 +82,24 @@ class TestFullMatrixIdentity:
     """The acceptance bar: the full fig3/5/6 matrix, field for field."""
 
     def test_full_matrix_bit_identity(self):
+        """Both engines equal each other and ``runresults_golden.json``.
+
+        Regenerate the golden (only for a change meant to move cycles)
+        with ``PYTHONPATH=src python -m tests.goldens``.
+        """
         specs = E.matrix_for(["fig3", "fig5", "fig6"])
         assert len(specs) >= 30
         mismatches = []
+        ev, col = {}, {}
         for spec in specs:
-            r_ev, r_col = _run_both(spec.app, spec.config, spec.threads,
-                                    scalar_only=spec.scalar_only)
-            if r_ev != r_col:
+            ev[spec], col[spec] = _run_both(spec.app, spec.config,
+                                            spec.threads,
+                                            scalar_only=spec.scalar_only)
+            if ev[spec] != col[spec]:
                 mismatches.append(str(spec))
         assert not mismatches, f"engines diverge on: {mismatches}"
+        off = goldens.mismatches(ev) + goldens.mismatches(col)
+        assert not off, f"moved off the golden: {off}"
 
 
 class TestDifferentialCheck:
@@ -161,13 +173,8 @@ class TestObservability:
         import dataclasses
         assert (dataclasses.replace(tr_ev.result, metrics=None)
                 == dataclasses.replace(tr_col.result, metrics=None))
-
-        def norm(log):
-            return [(e.cycle, e.kind, e.unit, e.dur, e.arg, e.reason,
-                     None if e.dynop is None else (e.dynop.pc, e.dynop.op))
-                    for e in log.events]
-
-        assert norm(tr_ev.events) == norm(tr_col.events)
+        assert (goldens.norm_events(tr_ev.events)
+                == goldens.norm_events(tr_col.events))
 
 
 class TestNpzColumns:

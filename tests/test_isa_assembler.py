@@ -108,6 +108,10 @@ class TestErrors:
         "add s1, s2, f3",            # wrong register class
         "ld s1, s2, s3",             # malformed memory operand count
         ".bogus x 1",                # unknown directive
+        ".f64",                      # directive missing its arguments
+        ".i64",
+        ".memory",
+        ".space x",
         "li s1, &missing\nhalt",     # unknown symbol
     ])
     def test_rejects(self, src):

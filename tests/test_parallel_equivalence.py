@@ -12,11 +12,17 @@ from repro.harness import experiments as E
 from repro.harness.docgen import generate_experiments_md
 from repro.harness.runner import ExperimentRunner
 from repro.timing.run import set_trace_cache_dir
+from tests import goldens
 
 _FIGS = ["fig1", "fig3", "fig4", "fig5", "fig6"]
 
 
 def test_jobs4_matches_jobs1_full_matrix(tmp_path):
+    """The serial results also equal ``tests/data/runresults_golden.json``.
+
+    Regenerate the golden (only for a change meant to move cycles) with
+    ``PYTHONPATH=src python -m tests.goldens``.
+    """
     specs = E.matrix_for(_FIGS)
     assert {s.app for s in specs} == set(E.ALL_APPS)
 
@@ -30,6 +36,8 @@ def test_jobs4_matches_jobs1_full_matrix(tmp_path):
     cycles1 = {s: o.result.cycles for s, o in out1.items()}
     cycles4 = {s: o.result.cycles for s, o in out4.items()}
     assert cycles1 == cycles4
+    off = goldens.mismatches({s: o.result for s, o in out1.items()})
+    assert not off, f"moved off the golden: {off}"
 
     doc1 = generate_experiments_md(runs=serial.results)
     doc4 = generate_experiments_md(runs=parallel.results)

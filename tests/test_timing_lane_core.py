@@ -1,15 +1,38 @@
 """Lane-core (scalar threads on lanes) timing model."""
 
+import collections
+
 import pytest
 
 from repro.isa import assemble
+from repro.obs.events import LANE_ISSUE
 from repro.timing import simulate
 from repro.timing.config import CMT, VLT_SCALAR
+from repro.timing.lane_core import LaneCore
+from repro.timing.run import simulate_traced
+from repro.workloads import get_workload
+from tests import goldens
+
+#: ocean on VLT-scalar (8 threads): the traced event stream as recorded
+#: before the slip memo and the stall horizon were added
+_OCEAN_EVENTS = 184_168
+_OCEAN_DIGEST = \
+    "633c4daf0e54b4cc46e40b0e68c66a2522e9da2f19b2d75d3457042e2ef2fdc1"
 
 
 def run_lanes(src, threads=1, cfg=VLT_SCALAR):
     prog = assemble(src)
     return simulate(prog, cfg, num_threads=threads)
+
+
+#: dependent pointer chase: each load's address is the previous load's value
+_POINTER_CHASE = """
+.i64 p 64
+li s2, &p
+st s2, 0(s2)
+{}
+halt
+""".format("\n".join("ld s2, 0(s2)" for _ in range(20)))
 
 
 class TestBasics:
@@ -75,16 +98,35 @@ class TestInOrderBehaviour:
 
     def test_loads_have_l2_latency(self):
         # dependent pointer-chase: each load waits ~hit latency
-        chase = "\n".join("ld s2, 0(s2)" for _ in range(20))
-        src = f"""
-        .i64 p 64
-        li s2, &p
-        st s2, 0(s2)
-        {chase}
-        halt
-        """
-        r = run_lanes(src)
+        r = run_lanes(_POINTER_CHASE)
         assert r.cycles >= 20 * 10      # 10-cycle L2 hits, serialised
+
+
+class TestStallHorizon:
+    def test_stalled_lane_sleeps_until_its_horizon(self, monkeypatch):
+        steps = []
+        horizons = []
+        step, next_event = LaneCore.step, LaneCore.next_event
+
+        def counting_step(core, cycle):
+            if core.tid is not None:
+                steps.append(cycle)
+            step(core, cycle)
+
+        def recording_next_event(core, cycle):
+            t = next_event(core, cycle)
+            if not core.halted and core.stall_until > cycle + 1:
+                horizons.append((cycle, t, core.stall_until))
+            return t
+
+        monkeypatch.setattr(LaneCore, "step", counting_step)
+        monkeypatch.setattr(LaneCore, "next_event", recording_next_event)
+        r = run_lanes(_POINTER_CHASE)
+        assert r.cycles >= 20 * 10
+        # each load's successor depends on it, so nothing can slip and
+        # the lane sleeps until its operand arrives
+        assert len(steps) < r.cycles
+        assert sum(t == stall for _, t, stall in horizons) >= 20
 
 
 class TestDecoupledSlip:
@@ -187,3 +229,30 @@ class TestAgainstCMT:
         r = run_lanes(src, threads=4, cfg=CMT)
         assert not r.lane_cores
         assert sum(su.issued for su in r.scalar_units) > 800
+
+
+@pytest.fixture(scope="module")
+def ocean_lanes():
+    prog = get_workload("ocean").program(scalar_only=True)
+    return simulate_traced(prog, VLT_SCALAR, num_threads=8,
+                           max_events=1_000_000)
+
+
+class TestOceanEventStream:
+    def test_stream_matches_golden(self, ocean_lanes):
+        log = ocean_lanes.events
+        assert log.dropped == 0
+        assert len(log.events) == _OCEAN_EVENTS
+        assert goldens.events_digest(log) == _OCEAN_DIGEST
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "LaneCore.step hands _slip its remaining memory slots, not its "
+        "remaining issue budget, so a lane can issue two ops in order "
+        "and one more by slip in the same cycle (544 lane-cycles here)"))
+    def test_no_lane_issues_beyond_its_width(self, ocean_lanes):
+        per_cycle = collections.Counter(
+            (e.cycle, e.unit) for e in ocean_lanes.events.events
+            if e.kind == LANE_ISSUE)
+        width = VLT_SCALAR.lane_core.width
+        over = [k for k, n in per_cycle.items() if n > width]
+        assert not over, f"{len(over)} lane-cycles issue over {width} ops"
