@@ -131,43 +131,8 @@ def test_timing_simulation_speed(benchmark):
 
 #: the replay-speed workload with a long steady-state phase: identical
 #: loop body, enough iterations that warm-loop behaviour dominates the
-#: measurement (the regime the paper's figures are drawn from, and the
-#: one the columnar engine's steady-state memoisation targets).
+#: measurement (the regime the paper's figures are drawn from).
 _SRC_STEADY = _SRC.replace("li s6, 40", "li s6, 600")
-
-
-def test_columnar_replay_speed(benchmark):
-    """Columnar vs event replay throughput on the steady-state workload.
-
-    Both engines replay the same trace; the result must be bit-identical
-    and the columnar engine at least 10x faster in cycles/sec.
-    """
-    prog = assemble(_SRC_STEADY)
-    trace = trace_for(prog, 1)
-    ops = trace.total_ops()
-
-    ev_walls: list = []
-    for _ in range(3):
-        ev_ref = _timed(lambda: simulate(prog, BASE, trace=trace), ev_walls)()
-    ev_wall = min(ev_walls)
-
-    walls: list = []
-    run_col = _timed(
-        lambda: simulate(prog, BASE, trace=trace, engine="columnar"), walls)
-    for _ in range(3):     # warm runs (column derivation is trace-cached)
-        run_col()
-    result = benchmark(run_col)
-    assert result == ev_ref
-    wall = _min_wall(benchmark, walls)
-    speedup = ev_wall / wall if wall else None
-    _record("timing_replay_columnar", wall_s=wall, cycles=result.cycles,
-            ops=ops, ops_per_s=ops / wall if wall else None,
-            cycles_per_s=result.cycles / wall if wall else None,
-            event_wall_s=ev_wall,
-            event_cycles_per_s=result.cycles / ev_wall if ev_wall else None,
-            speedup_vs_event=speedup)
-    assert speedup and speedup >= 10.0, \
-        f"columnar replay only {speedup:.1f}x faster than event engine"
 
 
 def test_fast_trace_generation_speed(benchmark):

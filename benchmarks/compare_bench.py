@@ -49,7 +49,6 @@ from typing import List, Optional, Tuple
 _GATED: Tuple[Tuple[str, str], ...] = (
     ("end_to_end", "cycles_per_s"),
     ("timing_replay", "cycles_per_s"),
-    ("timing_replay_columnar", "cycles_per_s"),
     ("functional", "ops_per_s"),
     ("trace_generation_fast", "ops_per_s"),
     ("duplicate_burst", "jobs_per_s"),
@@ -118,10 +117,10 @@ def check_min_speedups(candidate: dict,
     """Gate candidate rows on their recorded engine speedup.
 
     Each spec is ``(result key, factor)``; the row must carry a
-    ``speedup_vs_*`` field (e.g. ``speedup_vs_event`` for the columnar
-    replay row, ``speedup_vs_reference`` for the fast trace-generation
-    row) of at least ``factor``.  A missing row or field fails: a bench
-    that silently stopped measuring the speedup must not pass the gate.
+    ``speedup_vs_*`` field (e.g. ``speedup_vs_reference`` for the fast
+    trace-generation row) of at least ``factor``.  A missing row or
+    field fails: a bench that silently stopped measuring the speedup
+    must not pass the gate.
     """
     lines: List[str] = []
     failures: List[str] = []

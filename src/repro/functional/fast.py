@@ -2,11 +2,10 @@
 
 The reference interpreter in :mod:`repro.functional.executor` dispatches
 every dynamic instruction through dict lookups and per-op attribute
-reads; with the columnar timing engine of PR 6 that made *trace
-generation* the dominant cold-run cost.  This module keeps the reference
-executor as the oracle and adds :class:`FastExecutor`, which must
-produce bit-identical traces (npz bytes included) and final
-architectural state while being an order of magnitude faster.
+reads.  This module keeps the reference executor as the oracle and adds
+:class:`FastExecutor`, which must produce bit-identical traces (npz
+bytes included) and final architectural state while being an order of
+magnitude faster.
 
 How it gets there:
 
@@ -61,13 +60,13 @@ from .trace import ProgramTrace, ThreadTrace, thread_trace_from_columns
 FUNC_ENGINES = ("reference", "fast")
 
 
-def validate_func_engine(engine: str) -> str:
+def validate_func_engine(name: str) -> str:
     """Check a functional-engine name; returns it or raises ValueError."""
-    if engine not in FUNC_ENGINES:
+    if name not in FUNC_ENGINES:
         raise ValueError(
-            f"unknown functional engine {engine!r} (choose from "
+            f"unknown functional engine {name!r} (choose from "
             f"{', '.join(FUNC_ENGINES)})")
-    return engine
+    return name
 
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF

@@ -13,7 +13,7 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,31 +52,6 @@ class DynOp:
         return f"<DynOp pc={self.pc} {self.op}{extra}>"
 
 
-class _LazyOpsView:
-    """Read-only sequence facade over a columnar :class:`ThreadTrace`.
-
-    Behaves like the ``List[DynOp]`` the per-event timing machine
-    expects, but defers the columnar -> DynOp decode until an element
-    is actually touched.  The columnar timing engine only touches ops
-    for event emission and error messages, so a plain replay through it
-    never pays the decode.
-    """
-
-    __slots__ = ("_trace",)
-
-    def __init__(self, trace: "ThreadTrace"):
-        self._trace = trace
-
-    def __len__(self) -> int:
-        return len(self._trace)
-
-    def __getitem__(self, i):
-        return self._trace.ops[i]
-
-    def __iter__(self):
-        return iter(self._trace.ops)
-
-
 class ThreadTrace:
     """The dynamic trace of one software thread.
 
@@ -87,9 +62,8 @@ class ThreadTrace:
     ``List[DynOp]`` and the columnar parallel arrays of the npz cache
     format.  The reference executor appends DynOps; the fast executor
     and the npz loader attach columns directly and the ``ops`` list is
-    materialised lazily on first access, so columnar consumers (the
-    columnar timing engine, serialization, bulk stats) never pay a
-    per-op decode.
+    materialised lazily on first access, so array consumers
+    (serialization, bulk stats) never pay a per-op decode.
     """
 
     __slots__ = ("tid", "_ops", "_cols")
@@ -111,12 +85,6 @@ class ThreadTrace:
         self._ops = value
         self._cols = None
 
-    def ops_view(self) -> Sequence[DynOp]:
-        """The ops as a sequence, without forcing materialisation."""
-        if self._ops is not None:
-            return self._ops
-        return _LazyOpsView(self)
-
     def append(self, op: DynOp) -> None:
         self.ops.append(op)
         self._cols = None   # invalidate any cached columnar view
@@ -136,9 +104,9 @@ class ThreadTrace:
         ordered mnemonic list rather than a mnemonic->id dict.  The
         view is computed once and cached on the instance; traces
         decoded from npz (and traces generated by the fast executor)
-        attach their arrays directly, so array consumers (the columnar
-        timing engine, bulk analyses) never pay a per-:class:`DynOp`
-        encode/decode round-trip.
+        attach their arrays directly, so array consumers (serialization,
+        bulk analyses) never pay a per-:class:`DynOp` encode/decode
+        round-trip.
         """
         cols = self._cols
         if cols is None:
@@ -327,10 +295,9 @@ def thread_trace_from_columns(tid: int, arrays: Dict[str, np.ndarray],
     """Build a :class:`ThreadTrace` directly from its columnar arrays.
 
     The DynOp list is materialised lazily on first ``.ops`` access;
-    until then every consumer (columnar timing engine, serialization,
-    stats) works straight off the arrays.  ``op_table`` is validated
-    eagerly so a corrupt mnemonic table fails here, not at some later
-    access.
+    until then every consumer (serialization, stats) works straight off
+    the arrays.  ``op_table`` is validated eagerly so a corrupt mnemonic
+    table fails here, not at some later access.
     """
     for op in op_table:
         spec(op)

@@ -53,10 +53,11 @@ def result_key(program_digest: str, config_digest: str, num_threads: int,
                max_cycles: int, engine: str = "event") -> str:
     """Content key for one timing-simulation result.
 
-    The default ("event") engine keeps its historic key so existing
-    caches stay warm; other engines get distinct keys -- the engines
-    are verified bit-identical, but sharing entries would let a cached
-    event-engine number mask a columnar-engine bug.
+    There is one timing engine, so callers leave ``engine`` at its
+    default.  The parameter stays because the reproduction benchmark
+    (``benchmarks/reproduce/bench.py``) still passes ``engine=``.
+    ``"event"`` keeps the historic key, so existing caches stay warm;
+    any other name gets a distinct key.
     """
     raw = (f"vlt-result-v1:{program_digest}:{config_digest}:"
            f"{num_threads}:{max_cycles}")

@@ -111,8 +111,7 @@ def instruction_mix(apps: Optional[List[str]] = None,
 
 
 def run_single(app: str, config: str = "base", threads: int = 1,
-               scalar_only: bool = False, engine: str = "event",
-               func_engine: str = "reference",
+               scalar_only: bool = False, func_engine: str = "reference",
                strategy: str = "auto") -> str:
     """Run one workload on one machine configuration; report the stats."""
     from ..timing import simulate
@@ -121,8 +120,7 @@ def run_single(app: str, config: str = "base", threads: int = 1,
     w = get_workload(app)
     prog = w.program(scalar_only=scalar_only, strategy=strategy)
     cfg = get_config(config)
-    r = simulate(prog, cfg, num_threads=threads, engine=engine,
-                 func_engine=func_engine)
+    r = simulate(prog, cfg, num_threads=threads, func_engine=func_engine)
     lines = [r.summary()]   # includes L2 bank-conflict cycles
     if r.phase_release_cycles:
         lines.append(f"  phases: {r.phase_durations()}")
@@ -139,8 +137,7 @@ def run_single(app: str, config: str = "base", threads: int = 1,
 
 def run_trace(app: str, config: str = "base", threads: int = 1,
               scalar_only: bool = False, out: Optional[str] = None,
-              max_events: int = 1_000_000, engine: str = "event",
-              func_engine: str = "reference",
+              max_events: int = 1_000_000, func_engine: str = "reference",
               strategy: str = "auto") -> str:
     """Run one workload fully instrumented; write a Chrome trace-event
     JSON (loads in Perfetto) and return the stall-attribution report."""
@@ -152,8 +149,7 @@ def run_trace(app: str, config: str = "base", threads: int = 1,
     prog = w.program(scalar_only=scalar_only, strategy=strategy)
     cfg = get_config(config)
     tr = simulate_traced(prog, cfg, num_threads=threads,
-                         max_events=max_events, engine=engine,
-                         func_engine=func_engine)
+                         max_events=max_events, func_engine=func_engine)
     lines = []
     if out:
         n = write_chrome_trace(
@@ -366,7 +362,6 @@ def lint_programs(apps: Optional[List[str]] = None,
 def diff_runs(app: Optional[str] = None, config: str = "base",
               threads: int = 1, scalar_only: bool = False,
               apps: Optional[List[str]] = None,
-              engine: str = "event",
               func_engine: str = "reference",
               strategy: str = "auto") -> Tuple[str, int]:
     """Differentially validate runs; returns (report, mismatch count).
@@ -397,11 +392,9 @@ def diff_runs(app: Optional[str] = None, config: str = "base",
     for spec in specs:
         prog = get_workload(spec.app).program(scalar_only=spec.scalar_only,
                                               strategy=spec.strategy)
-        kw: Dict[str, Any] = {} if engine == "event" else {"engine": engine}
-        if func_engine != "reference":
-            kw["func_engine"] = func_engine
         report = differential_check(prog, get_config(spec.config),
-                                    num_threads=spec.threads, **kw)
+                                    num_threads=spec.threads,
+                                    func_engine=func_engine)
         if report.ok:
             status = f"OK ({report.ops_checked} ops, {report.cycles} cyc)"
         else:
@@ -545,12 +538,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--last", type=int, default=5,
                         help="history entries in the trend report "
                              "('tele trend' verb)")
-    parser.add_argument("--engine", type=str, default="event",
-                        choices=("event", "columnar"),
-                        help="timing replay engine: 'event' (per-event "
-                             "oracle) or 'columnar' (NumPy array replay, "
-                             "verified bit-identical; see "
-                             "docs/architecture.md)")
     parser.add_argument("--host", type=str, default="127.0.0.1",
                         help="bind address for the 'serve' verb")
     parser.add_argument("--port", type=int, default=8373,
@@ -593,7 +580,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         text, mismatches = diff_runs(app, config=args.config,
                                      threads=args.threads,
                                      scalar_only=args.scalar_only,
-                                     apps=apps, engine=args.engine,
+                                     apps=apps,
                                      func_engine=args.func_engine,
                                      strategy=args.strategy)
         print(text)
@@ -624,7 +611,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                                       timeout=args.timeout,
                                       retries=args.retries,
                                       verify=args.verify,
-                                      engine=args.engine,
                                       func_engine=args.func_engine,
                                       telemetry=args.telemetry,
                                       progress=args.progress)
@@ -720,7 +706,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(run_single(args.experiments[1], config=args.config,
                          threads=args.threads,
                          scalar_only=args.scalar_only,
-                         engine=args.engine,
                          func_engine=args.func_engine,
                          strategy=args.strategy))
         return 0
@@ -733,7 +718,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         threads=args.threads,
                         scalar_only=args.scalar_only, out=args.out,
                         max_events=args.max_events,
-                        engine=args.engine,
                         func_engine=args.func_engine,
                         strategy=args.strategy))
         return 0
@@ -794,7 +778,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                                   timeout=args.timeout,
                                   retries=args.retries,
                                   verify=args.verify,
-                                  engine=args.engine,
                                   func_engine=args.func_engine,
                                   telemetry=args.telemetry,
                                   progress=args.progress)

@@ -208,7 +208,7 @@ def _worker_init(cache_dir: Optional[str]) -> None:
 
 
 def _spec_payload(spec: RunSpec, timeout_s: Optional[float],
-                  max_cycles: int, verify: bool, engine: str,
+                  max_cycles: int, verify: bool,
                   func_engine: str, prof: PhaseProfiler,
                   ctx: Dict[str, object]) -> Dict[str, object]:
     """The run body: returns a success payload or raises.
@@ -234,16 +234,16 @@ def _spec_payload(spec: RunSpec, timeout_s: Optional[float],
         key = None
         if cache is not None:
             key = result_key(ctx["program_digest"], ctx["config_digest"],
-                             spec.threads, max_cycles, engine=engine)
+                             spec.threads, max_cycles)
             with prof.phase("result_cache_load"):
                 hit = cache.load_result(key)
             if hit is not None and not verify:
                 return {"result": hit, "result_cached": True,
                         "trace_cached": None}
-        with span("simulate", engine=engine, func_engine=func_engine):
+        with span("simulate", func_engine=func_engine):
             result = simulate(prog, cfg, num_threads=spec.threads,
                               max_cycles=max_cycles, profiler=prof,
-                              engine=engine, func_engine=func_engine)
+                              func_engine=func_engine)
         # the profiler only records trace_generation when the functional
         # executor actually ran; absence means cache/memo served it
         trace_cached = "trace_generation" not in prof.phases
@@ -253,8 +253,7 @@ def _spec_payload(spec: RunSpec, timeout_s: Optional[float],
             with prof.phase("differential_check"):
                 report = differential_check(
                     prog, cfg, num_threads=spec.threads,
-                    max_cycles=max_cycles, engine=engine,
-                    func_engine=func_engine)
+                    max_cycles=max_cycles, func_engine=func_engine)
             if not report.ok:
                 raise DifferentialMismatch(report)
         if cache is not None:
@@ -267,7 +266,6 @@ def _spec_payload(spec: RunSpec, timeout_s: Optional[float],
 def _execute_spec(spec: RunSpec, timeout_s: Optional[float],
                   max_cycles: int,
                   verify: bool = False,
-                  engine: str = "event",
                   func_engine: str = "reference",
                   telemetry: bool = False) -> Dict[str, object]:
     """Execute one spec; never raises (failures come back as data).
@@ -304,11 +302,9 @@ def _execute_spec(spec: RunSpec, timeout_s: Optional[float],
     try:
         try:
             with span("run_attempt", app=spec.app, config=spec.config,
-                      threads=spec.threads, engine=engine,
-                      func_engine=func_engine):
+                      threads=spec.threads, func_engine=func_engine):
                 payload = _spec_payload(spec, timeout_s, max_cycles,
-                                        verify, engine, func_engine,
-                                        prof, ctx)
+                                        verify, func_engine, prof, ctx)
         except Exception as exc:
             payload = {"error": {"type": type(exc).__name__,
                                  "message": str(exc),
@@ -339,7 +335,7 @@ def _execute_spec(spec: RunSpec, timeout_s: Optional[float],
 # --------------------------------------------------------------------------
 
 def run_record(spec: RunSpec, payload: Dict[str, object], attempts: int,
-               engine: str, func_engine: str,
+               func_engine: str,
                queue_wait_s: Optional[float] = None,
                tenant: Optional[str] = None,
                job_id: Optional[str] = None) -> Dict[str, object]:
@@ -347,14 +343,15 @@ def run_record(spec: RunSpec, payload: Dict[str, object], attempts: int,
     run-attempt payload.  The :class:`ExperimentRunner` and the job
     service (:mod:`repro.service`) both build their records here so the
     schema lives in exactly one place; ``tenant``/``job_id`` stay None
-    for CLI/runner sweeps."""
+    for CLI/runner sweeps.  ``engine`` is always ``"event"``, the only
+    timing engine; the field stays so schema-3 ledgers keep one shape."""
     err = payload.get("error")
     result = payload.get("result")
     return {
         "schema": LEDGER_SCHEMA,
         "app": spec.app, "config": spec.config,
         "threads": spec.threads, "scalar_only": spec.scalar_only,
-        "engine": engine,
+        "engine": "event",
         "func_engine": func_engine,
         "attempt": attempts,
         "worker": payload.get("worker"),
@@ -376,8 +373,7 @@ def run_record(spec: RunSpec, payload: Dict[str, object], attempts: int,
     }
 
 
-def crash_record(spec: RunSpec, attempts: int, engine: str,
-                 func_engine: str,
+def crash_record(spec: RunSpec, attempts: int, func_engine: str,
                  t_submit: Optional[float] = None,
                  tenant: Optional[str] = None,
                  job_id: Optional[str] = None) -> Dict[str, object]:
@@ -386,7 +382,7 @@ def crash_record(spec: RunSpec, attempts: int, engine: str,
         "schema": LEDGER_SCHEMA,
         "app": spec.app, "config": spec.config,
         "threads": spec.threads, "scalar_only": spec.scalar_only,
-        "engine": engine,
+        "engine": "event",
         "func_engine": func_engine,
         "attempt": attempts,
         "worker": None,
@@ -440,8 +436,7 @@ class ExperimentRunner:
     def __init__(self, jobs: int = 1, cache_dir: Optional[str] = None,
                  timeout: Optional[float] = None, retries: int = 2,
                  max_cycles: int = DEFAULT_MAX_CYCLES,
-                 verify: bool = False, engine: str = "event",
-                 func_engine: str = "reference",
+                 verify: bool = False, func_engine: str = "reference",
                  telemetry: Union[Telemetry, str, None] = None,
                  progress: bool = False) -> None:
         if jobs < 1:
@@ -454,16 +449,12 @@ class ExperimentRunner:
             raise ValueError(
                 "timeout must be > 0 seconds; use None for no limit")
         from ..functional.fast import validate_func_engine
-        from ..timing.machine import validate_engine
-        validate_engine(engine)
         validate_func_engine(func_engine)
         self.jobs = jobs
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
         self.timeout = timeout
         self.retries = retries
         self.max_cycles = max_cycles
-        #: timing engine every run replays on ("event" or "columnar")
-        self.engine = engine
         #: functional trace-generation engine ("reference" or "fast")
         self.func_engine = func_engine
         #: differentially validate every run (functional vs timing); a
@@ -513,7 +504,7 @@ class ExperimentRunner:
             prev_col = set_span_collector(SpanCollector(worker="parent"))
         try:
             with span("sweep", jobs=self.jobs, specs=len(ordered),
-                      engine=self.engine, func_engine=self.func_engine):
+                      func_engine=self.func_engine):
                 if self.jobs == 1:
                     self._run_serial(ordered)
                 else:
@@ -606,12 +597,12 @@ class ExperimentRunner:
         queue_wait = None
         if t_submit is not None and t_start is not None:
             queue_wait = max(0.0, float(t_start) - t_submit)
-        return run_record(spec, payload, attempts, self.engine,
-                          self.func_engine, queue_wait_s=queue_wait)
+        return run_record(spec, payload, attempts, self.func_engine,
+                          queue_wait_s=queue_wait)
 
     def _crash_record(self, spec: RunSpec,
                       attempts: int) -> Dict[str, object]:
-        return crash_record(spec, attempts, self.engine, self.func_engine,
+        return crash_record(spec, attempts, self.func_engine,
                             t_submit=self._submit_t.get(spec))
 
     def _progress_tick(self, final: bool) -> None:
@@ -649,8 +640,7 @@ class ExperimentRunner:
             for attempt in range(1, self.retries + 2):
                 self._submit_t[spec] = time.time()
                 payload = _execute_spec(spec, self.timeout, self.max_cycles,
-                                        self.verify, self.engine,
-                                        self.func_engine,
+                                        self.verify, self.func_engine,
                                         self.telemetry is not None)
                 self._note_attempt(spec, payload, attempt)
                 done = self._record(spec, payload, attempt) \
@@ -695,8 +685,7 @@ class ExperimentRunner:
                     self._submit_t[s] = time.time()
                     futs[pool.submit(_execute_spec, s, self.timeout,
                                      self.max_cycles, self.verify,
-                                     self.engine, self.func_engine,
-                                     telemetry)] = s
+                                     self.func_engine, telemetry)] = s
                 not_done = set(futs)
                 while not_done:
                     done, not_done = wait(not_done,
@@ -754,8 +743,7 @@ class ExperimentRunner:
                         initargs=(cache_dir,)) as pool:
                     payload = pool.submit(
                         _execute_spec, spec, self.timeout,
-                        self.max_cycles, self.verify, self.engine,
-                        self.func_engine,
+                        self.max_cycles, self.verify, self.func_engine,
                         self.telemetry is not None).result()
             except BrokenProcessPool:
                 self._record_crash(spec, attempts)

@@ -4,10 +4,10 @@ PR 1 made the *simulated machine* observable; this module does the same
 for the *host-side fleet* that executes it -- the parallel
 :class:`~repro.harness.runner.ExperimentRunner`, its worker processes,
 the content-addressed :class:`~repro.functional.trace_cache.TraceCache`
-and the replay engines.  Four pieces, all host-wall-clock:
+and the timing replay.  Four pieces, all host-wall-clock:
 
 * **Spans** -- lightweight nested intervals
-  (``with span("timing_replay", engine="columnar"):``) recorded into an
+  (``with span("simulate", func_engine="fast"):``) recorded into an
   ambient per-process :class:`SpanCollector`.  When no collector is
   installed (the default) a span is a bare ``perf_counter`` pair and
   records nothing.  :class:`~repro.obs.hostprof.PhaseProfiler` times its
@@ -58,7 +58,9 @@ from .chrome_trace import track_metadata
 LEDGER_SCHEMA = 3
 
 #: every field of a schema-3 run record, in canonical order; the golden
-#: ledger test asserts records carry exactly these keys
+#: ledger test asserts records carry exactly these keys.  ``engine`` is
+#: always ``"event"`` now that there is one timing engine; it stays so
+#: older ledgers (which may say ``"columnar"``) share the schema.
 RUN_RECORD_FIELDS = (
     "schema", "app", "config", "threads", "scalar_only", "engine",
     "func_engine", "attempt", "worker", "tenant", "job_id",
@@ -574,7 +576,6 @@ class TelemetryReader:
 TREND_METRICS = (
     ("end_to_end", "cycles_per_s"),
     ("timing_replay", "cycles_per_s"),
-    ("timing_replay_columnar", "cycles_per_s"),
     ("functional", "ops_per_s"),
     ("trace_generation_fast", "ops_per_s"),
     ("duplicate_burst", "jobs_per_s"),

@@ -3,10 +3,10 @@
 A *job* is one client submission; a *flight* (see
 :mod:`repro.service.server`) is one actual execution that any number of
 identical jobs share.  Identity is content-addressed: the job key is
-the PR 3 :func:`~repro.functional.trace_cache.result_key` over the
-program and config digests, so "identical submission" means *identical
+the :func:`~repro.functional.trace_cache.result_key` over the program
+and config digests, so "identical submission" means *identical
 simulation* -- same program bytes, same machine, same thread count,
-same engine -- not merely the same request strings.
+same cycle budget -- not merely the same request strings.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ class JobRequest:
     config: str
     threads: int = 1
     scalar_only: bool = False
-    engine: str = "event"
     func_engine: str = "reference"
     max_cycles: int = DEFAULT_MAX_CYCLES
 
@@ -53,8 +52,7 @@ class JobRequest:
         if not isinstance(body, Mapping):
             raise BadRequest("request body must be a JSON object")
         unknown = set(body) - {"app", "config", "threads", "scalar_only",
-                               "engine", "func_engine", "max_cycles",
-                               "tenant"}
+                               "func_engine", "max_cycles", "tenant"}
         if unknown:
             raise BadRequest(f"unknown fields: {sorted(unknown)}")
         app = body.get("app")
@@ -72,19 +70,15 @@ class JobRequest:
         if not isinstance(max_cycles, int) or isinstance(max_cycles, bool) \
                 or max_cycles < 1:
             raise BadRequest("'max_cycles' must be a positive integer")
-        engine = body.get("engine", "event")
         func_engine = body.get("func_engine", "reference")
         from ..functional.fast import validate_func_engine
-        from ..timing.machine import validate_engine
         try:
-            validate_engine(engine)
             validate_func_engine(func_engine)
         except ValueError as exc:
             raise BadRequest(str(exc)) from None
         return cls(app=app, config=config, threads=threads,
                    scalar_only=bool(body.get("scalar_only", False)),
-                   engine=engine, func_engine=func_engine,
-                   max_cycles=max_cycles)
+                   func_engine=func_engine, max_cycles=max_cycles)
 
     def spec(self) -> RunSpec:
         return RunSpec(self.app, self.config, self.threads,
@@ -95,7 +89,7 @@ def job_key(request: JobRequest, program_digest: str,
             config_digest: str) -> str:
     """Content identity of the simulation a request asks for."""
     return result_key(program_digest, config_digest, request.threads,
-                      request.max_cycles, engine=request.engine)
+                      request.max_cycles)
 
 
 @dataclass
@@ -150,7 +144,6 @@ class Job:
                 "app": self.request.app, "config": self.request.config,
                 "threads": self.request.threads,
                 "scalar_only": self.request.scalar_only,
-                "engine": self.request.engine,
                 "func_engine": self.request.func_engine,
                 "max_cycles": self.request.max_cycles,
             },

@@ -310,7 +310,7 @@ class SimulationService:
             attempts += 1
             fut = loop.run_in_executor(
                 self._pool, _execute_spec, spec, cfg.timeout,
-                flight.request.max_cycles, False, flight.request.engine,
+                flight.request.max_cycles, False,
                 flight.request.func_engine, False)
             try:
                 if cfg.timeout is not None:
@@ -364,7 +364,6 @@ class SimulationService:
         if t_start is not None:
             queue_wait = max(0.0, float(t_start) - flight.enqueued_at)
         rec = run_record(flight.request.spec(), payload, attempts,
-                         flight.request.engine,
                          flight.request.func_engine,
                          queue_wait_s=queue_wait,
                          tenant=primary.tenant, job_id=primary.id)

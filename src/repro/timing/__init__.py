@@ -8,9 +8,7 @@ from .config import (BASE, CMT, CONFIGS, V2_CMP, V2_CMP_H, V2_SMT, V4_CMP,
                      VectorUnitConfig, base_config, get_config)
 from .l2 import BankedL2, L2Stats
 from .lane_core import LaneCore
-from .columnar import ColumnarMachine
-from .machine import (ENGINES, Machine, SimulationError, TimingMachine,
-                      run_traces, validate_engine)
+from .machine import Machine, SimulationError, run_traces
 from .pipeview import PipeView, simulate_with_pipeview
 from .run import (TracedRun, clear_trace_cache, simulate, simulate_traced,
                   trace_for)
@@ -26,7 +24,6 @@ __all__ = [
     "LaneCoreConfig", "MachineConfig", "ScalarUnitConfig",
     "VectorUnitConfig", "base_config", "get_config",
     "BankedL2", "L2Stats", "LaneCore", "Machine", "SimulationError",
-    "ColumnarMachine", "ENGINES", "TimingMachine", "validate_engine",
     "PipeView", "simulate_with_pipeview",
     "run_traces", "clear_trace_cache", "simulate", "simulate_traced",
     "TracedRun", "trace_for",

@@ -299,69 +299,19 @@ class Machine:
         )
 
 
-#: replay engines selectable throughout the stack (simulate/CLI/runner)
-ENGINES = ("event", "columnar")
-
-
-def validate_engine(engine: str) -> str:
-    """Check an engine name; returns it unchanged or raises ValueError."""
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown timing engine {engine!r} (choose from "
-            f"{', '.join(ENGINES)})")
-    return engine
-
-
-def TimingMachine(cfg: MachineConfig, traces, max_cycles: int = 50_000_000,
-                  hook=None, obs: Optional[EventBus] = None,
-                  engine: str = "event", columns=None):
-    """Build a timing machine with the selected replay engine.
-
-    ``engine="event"`` returns the per-event :class:`Machine` (the
-    oracle); ``engine="columnar"`` returns a
-    :class:`~repro.timing.columnar.ColumnarMachine`, the array-replay
-    engine verified bit-identical against the oracle.  Both expose the
-    same ``run`` / ``run_loop`` / ``_result`` surface.  ``columns`` (the
-    per-thread ``ThreadTrace.columns()`` views) is only meaningful for
-    the columnar engine; when omitted it is derived from ``traces``.
-    """
-    validate_engine(engine)
-    if engine == "columnar":
-        from .columnar import ColumnarMachine
-        return ColumnarMachine(cfg, traces, max_cycles=max_cycles,
-                               hook=hook, obs=obs, columns=columns)
-    return Machine(cfg, traces, max_cycles=max_cycles, hook=hook, obs=obs)
-
-
 def run_traces(cfg: MachineConfig, trace: ProgramTrace,
                max_cycles: int = 50_000_000,
                obs: Optional[EventBus] = None,
-               profiler=None, engine: str = "event") -> RunResult:
+               profiler=None) -> RunResult:
     """Replay a functional :class:`ProgramTrace` on configuration ``cfg``.
 
     ``obs`` attaches an observability event bus; ``profiler`` (a
     :class:`repro.obs.hostprof.PhaseProfiler`) records host wall-time
-    for the ``setup`` / ``replay`` / ``stats`` simulation phases;
-    ``engine`` selects the replay engine (see :func:`TimingMachine`).
-    The columnar engine simulates straight off the trace's flat arrays
-    (``ThreadTrace.columns()``, cached on the trace) rather than the
-    per-op DynOp lists.
+    for the ``setup`` / ``replay`` / ``stats`` simulation phases.
     """
-    validate_engine(engine)
-
     def build():
-        if engine == "columnar":
-            # Replay straight off the flat arrays; hand the machine lazy
-            # DynOp views so a trace that only exists in columnar form
-            # (fast executor, npz cache) is never decoded per-op unless
-            # event emission / error reporting actually touches an op.
-            cols = [t.columns() for t in trace.threads]
-            ops = [t.ops_view() for t in trace.threads]
-        else:
-            cols = None
-            ops = [t.ops for t in trace.threads]
-        return TimingMachine(cfg, ops, max_cycles=max_cycles, obs=obs,
-                             engine=engine, columns=cols)
+        return Machine(cfg, [t.ops for t in trace.threads],
+                       max_cycles=max_cycles, obs=obs)
 
     if profiler is None:
         result = build().run()

@@ -141,17 +141,14 @@ def simulate(program: Program, cfg: MachineConfig, num_threads: int = 1,
              trace: Optional[ProgramTrace] = None,
              obs: Optional[EventBus] = None,
              profiler: Optional[PhaseProfiler] = None,
-             engine: str = "event",
              func_engine: str = "reference") -> RunResult:
     """Run ``program`` on machine ``cfg`` and return timing results.
 
     ``obs`` attaches an observability event bus (see :mod:`repro.obs`);
     ``profiler`` records host-side wall time per simulation phase.
-    Neither affects simulated cycle counts.  ``engine`` picks the replay
-    engine -- ``"event"`` (the per-event oracle) or ``"columnar"`` (the
-    NumPy array-replay engine, verified bit-identical) -- and
-    ``func_engine`` the trace-generation engine (``"reference"`` or
-    ``"fast"``, likewise bit-identical).
+    Neither affects simulated cycle counts.  ``func_engine`` picks the
+    trace-generation engine (``"reference"`` or ``"fast"``, verified
+    bit-identical).
     """
     if profiler is None:
         profiler = _default_profiler
@@ -161,7 +158,7 @@ def simulate(program: Program, cfg: MachineConfig, num_threads: int = 1,
     elif trace.num_threads != num_threads:
         raise ValueError("supplied trace has a different thread count")
     return run_traces(cfg, trace, max_cycles=max_cycles, obs=obs,
-                      profiler=profiler, engine=engine)
+                      profiler=profiler)
 
 
 @dataclass
@@ -182,7 +179,6 @@ def simulate_traced(program: Program, cfg: MachineConfig,
                     max_events: int = 1_000_000,
                     kinds: Optional[frozenset] = None,
                     start_cycle: int = 0,
-                    engine: str = "event",
                     func_engine: str = "reference") -> TracedRun:
     """Run with the full observability stack attached.
 
@@ -201,8 +197,7 @@ def simulate_traced(program: Program, cfg: MachineConfig,
     prof = PhaseProfiler()
     result = simulate(program, cfg, num_threads=num_threads,
                       max_cycles=max_cycles, trace=trace, obs=bus,
-                      profiler=prof, engine=engine,
-                      func_engine=func_engine)
+                      profiler=prof, func_engine=func_engine)
     result.metrics = sink.registry
     return TracedRun(result=result, events=log, metrics=sink.registry,
                      metrics_sink=sink, profiler=prof)

@@ -103,11 +103,10 @@ class DifferentialMismatch(AssertionError):
 
 
 def _run_timing(cfg: MachineConfig, trace: ProgramTrace, max_cycles: int,
-                bus: EventBus, engine: str = "event") -> RunResult:
+                bus: EventBus) -> RunResult:
     """Seam for the timing replay (tests monkeypatch this to inject
     timing bugs and exercise the checker + shrinker)."""
-    return run_traces(cfg, trace, max_cycles=max_cycles, obs=bus,
-                      engine=engine)
+    return run_traces(cfg, trace, max_cycles=max_cycles, obs=bus)
 
 
 class _CommitCollector:
@@ -295,17 +294,12 @@ def differential_check(program: Program, cfg: MachineConfig,
                        num_threads: int = 1,
                        max_cycles: int = 50_000_000,
                        trace: Optional[ProgramTrace] = None,
-                       engine: str = "event",
                        func_engine: str = "reference") -> DiffReport:
     """Cross-check one timing run against the functional executor.
 
     ``trace`` overrides the trace under test (defaults to the cached
     :func:`~repro.timing.run.trace_for` path, i.e. exactly what a
-    normal ``simulate`` call would replay).  ``engine`` selects the
-    timing replay engine under test -- with ``engine="columnar"`` the
-    commit/issue streams of the columnar machine are checked against
-    the same functional reference, which (combined with cycle-count
-    comparison) is the columnar-vs-event gate.  ``func_engine="fast"``
+    normal ``simulate`` call would replay).  ``func_engine="fast"``
     puts the fast functional engine under test instead: the trace under
     test is regenerated by :class:`FastExecutor` (bypassing the trace
     memo, so the fast engine really runs) and the second functional
@@ -338,12 +332,7 @@ def differential_check(program: Program, cfg: MachineConfig,
     bus = EventBus()
     collector = _CommitCollector()
     bus.attach(collector)
-    if engine == "event":
-        # keep the historic 4-arg call: tests monkeypatch _run_timing
-        # with 4-parameter fakes to inject timing bugs
-        result = _run_timing(cfg, tut, max_cycles, bus)
-    else:
-        result = _run_timing(cfg, tut, max_cycles, bus, engine=engine)
+    result = _run_timing(cfg, tut, max_cycles, bus)
     report.cycles = result.cycles
     _diff_committed(tut, collector, cfg.lane_scalar_mode, report)
 

@@ -2,10 +2,10 @@
 
 ``data/runresults_golden.json`` holds every Figure 1/3/5/6
 :class:`~repro.timing.stats.RunResult` (as ``dataclasses.asdict``,
-without the observability ``metrics``), keyed by ``str(spec)``.  Both
-timing engines share the lane cores, so comparing the engines with each
-other cannot catch a change that moves them together; comparing each
-against this file can.
+without the observability ``metrics``), keyed by ``str(spec)``.  The
+timing model has no second engine to compare against, so this file (and
+the event-stream digests built with :func:`events_digest`) is what pins
+its behaviour.
 
 Regenerate only for a change that is meant to move simulated numbers:
 

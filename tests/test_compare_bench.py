@@ -23,8 +23,6 @@ def _payload(**overrides):
     results = {
         "end_to_end": {"cycles_per_s": 1_000_000.0},
         "timing_replay": {"cycles_per_s": 2_000_000.0},
-        "timing_replay_columnar": {"cycles_per_s": 40_000_000.0,
-                                   "speedup_vs_event": 20.0},
         "functional": {"ops_per_s": 500_000.0},
         "trace_generation_fast": {"ops_per_s": 6_000_000.0,
                                   "speedup_vs_reference": 12.0},
@@ -55,14 +53,14 @@ class TestGate:
         # every row present in the payload gates OK; rows from other
         # bench families (the service throughput file) are skipped
         assert all("OK" in ln or "skipped" in ln for ln in lines)
-        assert sum("OK" in ln for ln in lines) == 5
+        assert sum("OK" in ln for ln in lines) == 4
 
     def test_zero_candidate_fails_the_gate(self):
-        cand = _payload(timing_replay_columnar={"cycles_per_s": 0.0})
+        cand = _payload(timing_replay={"cycles_per_s": 0.0})
         _, failures = cb.compare(_payload(), cand, 0.30)
         assert len(failures) == 1
         assert "not a positive finite throughput" in failures[0]
-        assert "timing_replay_columnar" in failures[0]
+        assert "timing_replay" in failures[0]
 
     def test_nonfinite_candidate_fails_the_gate(self):
         for bad in (math.nan, math.inf, -1.0):
@@ -83,9 +81,6 @@ class TestGate:
         _, failures = cb.compare(_payload(), cand, 0.30)
         assert len(failures) == 1
         assert "timing_replay" in failures[0]
-
-    def test_columnar_row_is_gated(self):
-        assert ("timing_replay_columnar", "cycles_per_s") in cb._GATED
 
     def test_fast_trace_generation_row_is_gated(self):
         assert ("trace_generation_fast", "ops_per_s") in cb._GATED
@@ -128,12 +123,6 @@ class TestMinSpeedup:
         _, failures = cb.check_min_speedups(
             _payload(), [("nosuchrow", 2.0)])
         assert failures
-
-    def test_columnar_speedup_field_is_found(self):
-        lines, failures = cb.check_min_speedups(
-            _payload(), [("timing_replay_columnar", 10.0)])
-        assert not failures
-        assert any("speedup_vs_event" in ln for ln in lines)
 
     def test_cli_flag(self, tmp_path, capsys):
         import json

@@ -7,7 +7,9 @@ from repro.obs import (BANK_CONFLICT, CACHE_MISS, COMMIT, EVENT_KINDS, Event,
                        EventBus, EventLog, ISSUE, LANE_ISSUE, NULL_BUS, STALL,
                        StallReason, VISSUE)
 from repro.timing import Machine, simulate, simulate_traced, trace_for
-from repro.timing.config import BASE, V2_CMP, VLT_SCALAR
+from repro.timing.config import BASE, V2_CMP, VLT_SCALAR, get_config
+from repro.workloads import get_workload
+from tests import goldens
 
 _VEC_SRC = """
 .space x 1024
@@ -186,3 +188,31 @@ class TestEnabledModeCountsMatchStats:
         issued = sum(s.issued for s in tr.result.lane_cores)
         assert issued > 0
         assert tr.metrics.counters()["issued.lane"] == issued
+
+
+#: (app, config, threads) -> (events, digest) of the traced run's
+#: scalar-unit and vector-unit event stream (:func:`goldens.events_digest`)
+_UNIT_STREAMS = {
+    ("trfd", "base", 1): (8_605, "1b0246f9283a968e0e68a7a0ad4ab442"
+                                 "ad908aadbb2c0f274dfa60039d62da9d"),
+    ("trfd", "V4-CMT", 4): (11_912, "3c9751a16aafc0d25aeba3f3bbf0a498"
+                                    "5b5e32da628b13024fa9cab39c7e0734"),
+    # SMT contexts sharing one scalar unit
+    ("mpenc", "V4-SMT", 4): (65_797, "7681d43e7ea53bd552e7d996f4e6ce94"
+                                     "aeab2c9e20d6a54d03dccd22c003d5a4"),
+}
+
+
+class TestUnitEventStreams:
+    """SU/VCL event streams pinned as digests, the counterpart of the
+    ocean lane-core digest in ``test_timing_lane_core.py``."""
+
+    @pytest.mark.parametrize("app,config,threads", list(_UNIT_STREAMS))
+    def test_stream_matches_golden(self, app, config, threads):
+        events, digest = _UNIT_STREAMS[app, config, threads]
+        prog = get_workload(app).program()
+        log = simulate_traced(prog, get_config(config), num_threads=threads,
+                              max_events=2_000_000).events
+        assert log.dropped == 0
+        assert len(log.events) == events
+        assert goldens.events_digest(log) == digest

@@ -89,7 +89,7 @@ class TestTenantGovernor:
 class TestJobRequest:
     def test_round_trip_and_key(self):
         req = JobRequest.from_json({"app": "mpenc", "config": "base",
-                                    "threads": 2, "engine": "columnar"})
+                                    "threads": 2})
         assert req.spec().threads == 2
         k1 = job_key(req, "p" * 64, "c" * 64)
         k2 = job_key(req, "p" * 64, "c" * 64)
@@ -108,6 +108,7 @@ class TestJobRequest:
         {"app": "mpenc", "config": "base", "engine": "quantum"},
         {"app": "mpenc", "config": "base", "func_engine": "psychic"},
         {"app": "mpenc", "config": "base", "frobnicate": 1},
+        {"app": "mpenc", "config": "base", "engine": "event"},  # no choice
     ])
     def test_rejected_bodies(self, body):
         with pytest.raises(BadRequest):

@@ -358,7 +358,6 @@ def _bench_payload(cps):
     return {"benchmark": "simulator_speed",
             "results": {"end_to_end": {"cycles_per_s": cps},
                         "timing_replay": {"cycles_per_s": 2 * cps},
-                        "timing_replay_columnar": {"cycles_per_s": 40 * cps},
                         "functional": {"ops_per_s": cps / 2}}}
 
 

@@ -98,8 +98,10 @@ class TestTraceRoundtrip:
         trace = _trace()
         direct = simulate(prog, V2_CMP, num_threads=2, trace=trace)
         loaded = trace_from_bytes(trace_to_bytes(trace))
+        # decoding attaches the arrays; DynOps are built only on demand
+        assert all(t._cols is not None for t in loaded.threads)
         replayed = simulate(prog, V2_CMP, num_threads=2, trace=loaded)
-        assert direct.cycles == replayed.cycles
+        assert replayed == direct
 
     def test_version_mismatch_rejected(self, monkeypatch):
         from repro.functional import trace as T
