@@ -13,24 +13,21 @@
 
 from dataclasses import replace
 
-from repro.isa import assemble
+from repro.harness.experiments import EXT_LANE_MACHINES, phased_kernel
 from repro.timing import simulate
-from repro.timing.config import BASE, V4_CMP, MachineConfig, VectorUnitConfig
+from repro.timing.config import BASE, V4_CMP, V4_CMP_REPVCL
 from repro.workloads import get_workload
 
 from .conftest import run_once
 
 
 def test_multiplexed_vcl_matches_replicated(benchmark, capsys):
-    rep_cfg = replace(V4_CMP, name="V4-CMP-repVCL",
-                      vu=replace(V4_CMP.vu, replicated_vcl=True))
-
     def sweep():
         out = {}
         for name in ("mpenc", "trfd", "multprec", "bt"):
             prog = get_workload(name).program()
             mux = simulate(prog, V4_CMP, num_threads=4).cycles
-            rep = simulate(prog, rep_cfg, num_threads=4).cycles
+            rep = simulate(prog, V4_CMP_REPVCL, num_threads=4).cycles
             out[name] = (mux, rep)
         return out
 
@@ -48,18 +45,12 @@ def test_multiplexed_vcl_matches_replicated(benchmark, capsys):
 def test_sixteen_lanes_increase_vlt_usefulness(benchmark, capsys):
     """At 16 lanes a short-vector app underutilises the machine even
     more, so the VLT speedup grows relative to 8 lanes."""
-    def machine(lanes, sus):
-        return MachineConfig(
-            name=f"V4-CMP-{lanes}l",
-            scalar_units=V4_CMP.scalar_units if sus == 4 else BASE.scalar_units,
-            vu=VectorUnitConfig(lanes=lanes))
-
     def sweep():
         out = {}
         prog = get_workload("trfd").program()
-        for lanes in (8, 16):
-            base = simulate(prog, machine(lanes, 1), num_threads=1).cycles
-            vlt = simulate(prog, machine(lanes, 4), num_threads=4).cycles
+        for lanes, (base_m, vlt_m) in EXT_LANE_MACHINES.items():
+            base = simulate(prog, base_m, num_threads=1).cycles
+            vlt = simulate(prog, vlt_m, num_threads=4).cycles
             out[lanes] = base / vlt
         return out
 
@@ -112,40 +103,9 @@ def test_vlt_vs_smt_vector_processor(benchmark, capsys):
 def test_dynamic_reconfiguration_beats_static(benchmark, capsys):
     """A program with a long-vector phase and a short-vector phase:
     vltcfg 1 -> 4 beats running the whole program at 4 partitions."""
-    def program(first_phase_parts):
-        return assemble(f"""
-        tid s1
-        vltcfg {first_phase_parts}
-        bne s1, s0, skip
-        li s10, 0
-        li s11, 80
-        rep:
-        li s2, 64
-        setvl s3, s2
-        vfadd.vv v1, v2, v3
-        vfmul.vv v4, v1, v2
-        vfadd.vv v5, v4, v1
-        addi s10, s10, 1
-        blt s10, s11, rep
-        skip:
-        barrier
-        vltcfg 4
-        li s10, 0
-        li s11, 60
-        rep2:
-        li s2, 8
-        setvl s3, s2
-        vfadd.vv v1, v2, v3
-        vfmul.vv v4, v1, v2
-        addi s10, s10, 1
-        blt s10, s11, rep2
-        barrier
-        halt
-        """)
-
     def sweep():
-        dyn = simulate(program(1), V4_CMP, num_threads=4).cycles
-        static = simulate(program(4), V4_CMP, num_threads=4).cycles
+        dyn = simulate(phased_kernel(1), V4_CMP, num_threads=4).cycles
+        static = simulate(phased_kernel(4), V4_CMP, num_threads=4).cycles
         return {"dynamic": dyn, "static": static}
 
     res = run_once(benchmark, sweep)

@@ -415,15 +415,16 @@ def run_experiment_data(name: str, apps: Optional[List[str]] = None,
                         runs: "E.RunMap" = None) -> Any:
     """Run one experiment and return its raw result object.
 
-    ``runs`` (spec -> result, from the parallel runner) makes the figure
-    drivers consume precomputed results instead of simulating inline.
+    ``runs`` (spec -> result, from the runner) makes the drivers look
+    their runs up instead of simulating inline; a missing run raises
+    :class:`~repro.harness.runner.MissingRunError`.
     """
     if name in ("table1", "table2"):
         return E.area_tables()
     if name == "table3":
         return E.table3_parameters()
     if name == "table4":
-        return E.table4_characteristics(apps or E.ALL_APPS)
+        return E.table4_characteristics(apps or E.ALL_APPS, runs=runs)
     if name == "fig1":
         return E.fig1_lane_scaling(apps or E.ALL_APPS, lanes or (1, 2, 4, 8),
                                    runs=runs)
@@ -749,31 +750,24 @@ def main(argv: Optional[List[str]] = None) -> int:
     apps = args.apps.split(",") if args.apps else None
     lanes = [int(x) for x in args.lanes.split(",")] if args.lanes else None
 
-    # Parallel runner path: fan the declared run matrix out over worker
-    # processes first, then let the drivers consume the results.  The
-    # serial default (--jobs 1, no cache) simulates inline as before.
+    # Every simulated number below is a lookup in one deduplicated run
+    # matrix, executed by the runner first: in-process and serial with
+    # --jobs 1, over worker processes otherwise, through the result
+    # cache when --cache-dir is given.
+    if args.timeout is not None and not args.timeout > 0:
+        # don't let a `--timeout 0` typo silently disable the limit
+        parser.error("--timeout must be > 0 seconds")
+    specs = E.matrix_for(names, apps=apps, lanes=lanes)
+    if args.experiments_md:
+        # the written document covers every section over its default
+        # sweep (it ignores --apps/--lanes); widen the matrix to match
+        specs = list(dict.fromkeys(specs + E.doc_matrix()))
     runs = None
     failures = None
     runner = None
-    if args.timeout is not None and not args.timeout > 0:
-        # don't let a `--timeout 0` typo silently skip the runner path
-        # (and with it the limit the user asked for)
-        parser.error("--timeout must be > 0 seconds")
-    if (args.jobs > 1 or args.cache_dir or args.timeout is not None
-            or args.verify or args.telemetry or args.progress
-            or args.func_engine != "reference"):
+    if specs:
         from ..timing.run import set_default_profiler, set_trace_cache_dir
         from .runner import ExperimentRunner
-        specs = E.matrix_for(names, apps=apps, lanes=lanes)
-        if args.experiments_md:
-            # the written document regenerates every figure over its
-            # default sweep (it ignores --apps/--lanes); widen the
-            # matrix so those sections are served from the run map too
-            # instead of degrading to SECTION FAILED.
-            doc_specs = E.matrix_for(["fig1", "fig3", "fig4", "fig5",
-                                      "fig6"])
-            have = set(specs)
-            specs = specs + [s for s in doc_specs if s not in have]
         runner = ExperimentRunner(jobs=args.jobs, cache_dir=args.cache_dir,
                                   timeout=args.timeout,
                                   retries=args.retries,
@@ -784,20 +778,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.cache_dir:
             # one sweep in the CLI parent; pool workers attach sweepless
             set_trace_cache_dir(args.cache_dir, sweep=True)
-        # parent-side runs (table4, doc extensions) count in one profile
+        # parent-side work (Table 4's trace reads, the doc's phased
+        # kernels) counts in the same profile
         set_default_profiler(runner.profiler)
-        if specs:
-            t0 = time.time()
-            runner.run(specs)
-            runs = runner.results
-            failures = runner.failures
-            print(runner.report())
-            print(f"[runner: {len(specs)} specs, "
-                  f"{time.time() - t0:.1f}s]\n")
-            if runner.telemetry is not None:
-                print(runner.telemetry.reader().report())
-                print(f"[telemetry: ledger + timeline under "
-                      f"{runner.telemetry.dir}]\n")
+        t0 = time.time()
+        runner.run(specs)
+        runs = runner.results
+        failures = runner.failures
+        print(runner.report())
+        print(f"[runner: {len(specs)} specs, "
+              f"{time.time() - t0:.1f}s]\n")
+        if runner.telemetry is not None:
+            print(runner.telemetry.reader().report())
+            print(f"[telemetry: ledger + timeline under "
+                  f"{runner.telemetry.dir}]\n")
 
     sections: List[str] = []
     json_data: Dict[str, Any] = {}
@@ -854,7 +848,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"{scope}: trace hits {c['trace_hits']}, misses "
                   f"{c['trace_misses']}; result hits {c['result_hits']}, "
                   f"misses {c['result_misses']}")
-    return 0
+    # degraded sections are still printed/written, but a failed run
+    # must not look like a clean reproduction to a script or CI step
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

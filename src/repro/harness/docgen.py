@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Mapping, Optional, Sequence
 
+from ..timing.config import V4_CMP, V4_CMP_REPVCL
+from ..timing.run import simulate
+from ..timing.stats import RunResult
 from . import experiments as E
 from . import report as R
-from .runner import MissingRunError, RunFailure
+from .runner import MissingRunError, RunFailure, RunSpec
 
 _HEADER = """\
 # EXPERIMENTS -- paper vs. measured
@@ -25,17 +28,17 @@ Regenerate this file with:
 """
 
 
-def generate_experiments_md(runs: E.RunMap = None,
+def generate_experiments_md(runs: Mapping[RunSpec, RunResult],
                             failures: Optional[Sequence[RunFailure]] = None
                             ) -> str:
     """Render the full report.
 
-    ``runs`` is an optional precomputed spec -> result mapping from the
-    parallel runner; without it every driver simulates inline, serially.
-    The two paths produce byte-identical documents.  With ``runs``, a
-    figure whose matrix has a failed/missing run degrades to a FAILED
-    section instead of aborting the document, and a non-empty
-    ``failures`` list adds an appendix describing what broke.
+    ``runs`` maps the specs of :func:`~repro.harness.experiments.doc_matrix`
+    to their results; the only simulations here are the two phased
+    kernels of the extensions section.  A section whose runs include a
+    failed or missing one degrades to a FAILED section instead of
+    aborting the document, and a non-empty ``failures`` list adds an
+    appendix describing what broke.
     """
     sections: List[str] = [_HEADER]
 
@@ -44,9 +47,9 @@ def generate_experiments_md(runs: E.RunMap = None,
         if commentary:
             sections.append(commentary + "\n")
 
-    def add_figure(title: str, driver: Callable[[], object],
-                   render: Callable[[object], str],
-                   commentary: Callable[[object], str]) -> None:
+    def add_section(title: str, driver: Callable[[], object],
+                    render: Callable[[object], str],
+                    commentary: Callable[[object], str]) -> None:
         try:
             data = driver()
         except MissingRunError as exc:
@@ -68,48 +71,53 @@ def generate_experiments_md(runs: E.RunMap = None,
         "Configuration dump of the simulated base machine -- matches the "
         "paper's Table 3 by construction.")
 
-    add("Table 4: application characteristics",
-        R.render_table4(E.table4_characteristics()),
-        "Workload generators were tuned to land in the paper's bands; "
-        "the table shows measured values with the paper's in parentheses. "
-        "Opportunity is measured from base-machine phase timings (parallel "
-        "phases / total).")
+    add_section("Table 4: application characteristics",
+                lambda: E.table4_characteristics(runs=runs),
+                R.render_table4,
+                lambda _data: (
+                    "Workload generators were tuned to land in the paper's "
+                    "bands; the table shows measured values with the "
+                    "paper's in parentheses. Opportunity is measured from "
+                    "base-machine phase timings (parallel phases / total)."))
 
-    add_figure("Figure 1: lane scaling",
-               lambda: E.fig1_lane_scaling(runs=runs),
-               R.render_fig1, _fig1_commentary)
+    add_section("Figure 1: lane scaling",
+                lambda: E.fig1_lane_scaling(runs=runs),
+                R.render_fig1, _fig1_commentary)
 
-    add_figure("Figure 3: VLT speedup (vector threads)",
-               lambda: E.fig3_vlt_speedup(runs=runs),
-               R.render_fig3, _fig3_commentary)
+    add_section("Figure 3: VLT speedup (vector threads)",
+                lambda: E.fig3_vlt_speedup(runs=runs),
+                R.render_fig3, _fig3_commentary)
 
-    add_figure("Figure 4: datapath utilization",
-               lambda: E.fig4_utilization(runs=runs),
-               R.render_fig4,
-               lambda _data: (
-                   "As in the paper: VLT compresses execution (total bar "
-                   "shrinks vs. base = 1.0), busy datapath-cycles grow as a "
-                   "share, and stall/idle cycles shrink, while a residue of "
-                   "stall/idle remains from sequential portions and "
-                   "functional-unit imbalance."))
+    add_section("Figure 4: datapath utilization",
+                lambda: E.fig4_utilization(runs=runs),
+                R.render_fig4,
+                lambda _data: (
+                    "As in the paper: VLT compresses execution (total bar "
+                    "shrinks vs. base = 1.0), busy datapath-cycles grow as "
+                    "a share, and stall/idle cycles shrink, while a residue "
+                    "of stall/idle remains from sequential portions and "
+                    "functional-unit imbalance."))
 
-    add_figure("Figure 5: scalar-unit design space",
-               lambda: E.fig5_design_space(runs=runs),
-               R.render_fig5, _fig5_commentary)
+    add_section("Figure 5: scalar-unit design space",
+                lambda: E.fig5_design_space(runs=runs),
+                R.render_fig5, _fig5_commentary)
 
-    add_figure("Figure 6: scalar threads on the lanes",
-               lambda: E.fig6_scalar_threads(runs=runs),
-               R.render_fig6, _fig6_commentary)
+    add_section("Figure 6: scalar threads on the lanes",
+                lambda: E.fig6_scalar_threads(runs=runs),
+                R.render_fig6, _fig6_commentary)
 
-    add("Extensions (paper Sections 3.2/3.3 and 6)", _extensions_report(),
-        "Dynamic reconfiguration, the multiplexed-vs-replicated VCL "
-        "claim, and the more-lanes trend; see benchmarks/"
-        "bench_extensions.py for the asserted versions.")
+    add_section("Extensions (paper Sections 3.2/3.3 and 6)",
+                lambda: _extensions_report(runs),
+                str,
+                lambda _data: (
+                    "Dynamic reconfiguration, the multiplexed-vs-replicated "
+                    "VCL claim, and the more-lanes trend; see benchmarks/"
+                    "bench_extensions.py for the asserted versions."))
 
     if failures:
-        lines = ["The parallel runner could not complete every run; the "
-                 "sections above that depended on a missing run are marked "
-                 "FAILED.", ""]
+        lines = ["The runner could not complete every run; the sections "
+                 "above that depended on a missing run are marked FAILED.",
+                 ""]
         for f in failures:
             lines.append(f"* `{f.spec}` -- {f.error_type}: {f.message} "
                          f"(after {f.attempts} attempt"
@@ -120,77 +128,25 @@ def generate_experiments_md(runs: E.RunMap = None,
     return "\n".join(sections)
 
 
-def _extensions_report() -> str:
-    from dataclasses import replace
-
-    from ..isa import assemble
-    from ..timing import simulate
-    from ..timing.config import (BASE, V4_CMP, MachineConfig,
-                                 VectorUnitConfig)
-    from ..workloads import get_workload
-
-    lines: List[str] = []
-
-    # multiplexed vs replicated VCL (Section 3.2's claim)
-    rep_cfg = replace(V4_CMP, name="V4-CMP-repVCL",
-                      vu=replace(V4_CMP.vu, replicated_vcl=True))
-    lines.append("multiplexed vs replicated VCL (V4, 4 threads):")
-    for name in ("mpenc", "trfd", "multprec", "bt"):
-        prog = get_workload(name).program()
-        mux = simulate(prog, V4_CMP, num_threads=4).cycles
-        rep = simulate(prog, rep_cfg, num_threads=4).cycles
+def _extensions_report(runs: Mapping[RunSpec, RunResult]) -> str:
+    lines = ["multiplexed vs replicated VCL (V4, 4 threads):"]
+    for name in E.VLT_VECTOR_APPS:
+        mux = E._run(name, V4_CMP, 4, runs=runs).cycles
+        rep = E._run(name, V4_CMP_REPVCL, 4, runs=runs).cycles
         lines.append(f"  {name:10s} mux={mux:>7}  rep={rep:>7}  "
                      f"overhead {100 * (mux / rep - 1):.1f}%")
 
     # more lanes increase VLT usefulness (Sections 1/6)
     lines.append("")
     lines.append("trfd VLT-4 speedup vs lane count:")
-    prog = get_workload("trfd").program()
-    for lanes in (8, 16):
-        base_m = MachineConfig(name=f"b{lanes}",
-                               scalar_units=BASE.scalar_units,
-                               vu=VectorUnitConfig(lanes=lanes))
-        vlt_m = MachineConfig(name=f"v{lanes}",
-                              scalar_units=V4_CMP.scalar_units,
-                              vu=VectorUnitConfig(lanes=lanes))
-        s = simulate(prog, base_m, num_threads=1).cycles / \
-            simulate(prog, vlt_m, num_threads=4).cycles
+    for lanes, (base_m, vlt_m) in E.EXT_LANE_MACHINES.items():
+        s = E._run("trfd", base_m, 1, runs=runs).cycles / \
+            E._run("trfd", vlt_m, 4, runs=runs).cycles
         lines.append(f"  {lanes:2d} lanes: {s:.2f}x")
 
-    # dynamic reconfiguration (Section 3.3)
-    def phased(n):
-        return assemble(f"""
-        tid s1
-        vltcfg {n}
-        bne s1, s0, skip
-        li s10, 0
-        li s11, 80
-        rep:
-        li s2, 64
-        setvl s3, s2
-        vfadd.vv v1, v2, v3
-        vfmul.vv v4, v1, v2
-        vfadd.vv v5, v4, v1
-        addi s10, s10, 1
-        blt s10, s11, rep
-        skip:
-        barrier
-        vltcfg 4
-        li s10, 0
-        li s11, 60
-        rep2:
-        li s2, 8
-        setvl s3, s2
-        vfadd.vv v1, v2, v3
-        vfmul.vv v4, v1, v2
-        addi s10, s10, 1
-        blt s10, s11, rep2
-        barrier
-        halt
-        """)
-
-    dyn = simulate(phased(1), V4_CMP, num_threads=4).cycles
-    static = simulate(phased(4), V4_CMP, num_threads=4).cycles
+    # dynamic reconfiguration (Section 3.3): not a workload, so inline
+    dyn = simulate(E.phased_kernel(1), V4_CMP, num_threads=4).cycles
+    static = simulate(E.phased_kernel(4), V4_CMP, num_threads=4).cycles
     lines.append("")
     lines.append(f"dynamic vltcfg on a two-phase kernel: dynamic={dyn} "
                  f"cycles vs static={static} ({static / dyn:.2f}x)")
@@ -255,7 +211,7 @@ def _fig6_commentary(fig6: E.Fig6Result) -> str:
             f"sensitivity of the lane side to the access-decoupling model.")
 
 
-def write_experiments_md(path: str, runs: E.RunMap = None,
+def write_experiments_md(path: str, runs: Mapping[RunSpec, RunResult],
                          failures: Optional[Sequence[RunFailure]] = None
                          ) -> None:
     with open(path, "w") as fh:

@@ -14,6 +14,13 @@ Run-matrix conventions (Sections 6-7 of the paper):
   V4-SMT, V4-CMT, V4-CMP, V4-CMP-h (4 threads).
 * Figure 6: 8 scalar threads on the lanes (VLT-scalar) vs. 4 threads on
   the CMT machine (two 4-way 2-way-SMT SUs, no vector unit).
+* Table 4: the opportunity column reads the single-thread BASE run --
+  the same spec as Figure 1's 8-lane point and the Figure 3/5 baselines.
+* Extensions: replicated-VCL V4 and the 16-lane machines
+  (:func:`extensions_matrix`), plus two phased kernels that are not
+  workloads and always run inline.
+
+:func:`doc_matrix` is the union of every run EXPERIMENTS.md reads.
 """
 
 from __future__ import annotations
@@ -22,12 +29,14 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..area.model import table1_rows, table2_rows
-from ..timing.config import (BASE, CMT, V2_CMP, V2_SMT, V4_CMP, V4_CMP_H,
-                             V4_CMT, V4_SMT, VLT_SCALAR, MachineConfig,
-                             base_config)
+from ..isa import Program, assemble
+from ..timing.config import (BASE, CMT, V2_CMP, V2_SMT, V4_CMP, V4_CMP_16LANE,
+                             V4_CMP_H, V4_CMP_REPVCL, V4_CMT, V4_SMT,
+                             VLT_SCALAR, MachineConfig, base_config)
 from ..timing.run import simulate
 from ..timing.stats import DatapathUtilization, RunResult
 from ..workloads import AppCharacteristics, characterize, get_workload
+from ..workloads.characteristics import NO_OPPORTUNITY
 from .runner import MissingRunError, RunSpec
 
 #: precomputed results keyed by run spec (what the parallel runner hands
@@ -107,23 +116,32 @@ def fig6_matrix(apps: Sequence[str] = SCALAR_APPS) -> List[RunSpec]:
         RunSpec(app, VLT_SCALAR.name, 8, scalar_only=True))]
 
 
+def table4_matrix(apps: Sequence[str] = ALL_APPS) -> List[RunSpec]:
+    """The BASE runs behind Table 4's opportunity column."""
+    return [RunSpec(app, BASE.name, 1) for app in apps
+            if app not in NO_OPPORTUNITY]
+
+
 def matrix_for(names: Sequence[str],
                apps: Optional[Sequence[str]] = None,
                lanes: Optional[Sequence[int]] = None) -> List[RunSpec]:
     """Deduplicated union of the run matrices for ``names``.
 
-    ``names`` may include non-simulation entries (tables); they simply
-    contribute no specs.  ``apps``/``lanes`` override each figure's
-    sweep exactly the way the driver arguments do -- verbatim, NOT
-    intersected with the figure's default set, so the matrix always
-    covers precisely the runs the drivers will look up.
+    Table 4 contributes its BASE runs, which Figure 1's 8-lane point
+    already holds; Tables 1-3 and non-experiment names contribute no
+    specs.  ``apps``/``lanes`` override each sweep exactly the way the
+    driver arguments do -- verbatim, NOT intersected with the default
+    set, so the matrix always covers precisely the runs the drivers
+    will look up.
     """
     def pick(defaults: Sequence[str]) -> Sequence[str]:
         return apps if apps else defaults
 
     specs: List[RunSpec] = []
     for name in names:
-        if name == "fig1":
+        if name == "table4":
+            specs += table4_matrix(pick(ALL_APPS))
+        elif name == "fig1":
             specs += fig1_matrix(pick(ALL_APPS), lanes or (1, 2, 4, 8))
         elif name == "fig3":
             specs += fig3_matrix(pick(VLT_VECTOR_APPS))
@@ -133,13 +151,15 @@ def matrix_for(names: Sequence[str],
             specs += fig5_matrix(pick(VLT_VECTOR_APPS))
         elif name == "fig6":
             specs += fig6_matrix(pick(SCALAR_APPS))
-    out: List[RunSpec] = []
-    seen = set()
-    for s in specs:
-        if s not in seen:
-            seen.add(s)
-            out.append(s)
-    return out
+    return list(dict.fromkeys(specs))
+
+
+def doc_matrix() -> List[RunSpec]:
+    """Every run EXPERIMENTS.md reads: each figure and Table 4 over its
+    default sweep, then the extension runs (72 distinct specs)."""
+    return list(dict.fromkeys(
+        matrix_for(["fig1", "fig3", "fig4", "fig5", "fig6", "table4"])
+        + extensions_matrix()))
 
 
 # --------------------------------------------------------------------------
@@ -210,9 +230,17 @@ def table3_parameters() -> List[Tuple[str, str]]:
 # Table 4 -- application characteristics
 # --------------------------------------------------------------------------
 
-def table4_characteristics(apps: Sequence[str] = ALL_APPS
-                           ) -> List[AppCharacteristics]:
-    return [characterize(a) for a in apps]
+def table4_characteristics(apps: Sequence[str] = ALL_APPS,
+                           runs: RunMap = None) -> List[AppCharacteristics]:
+    """One Table 4 row per app.
+
+    The opportunity comes from the BASE runs of :func:`table4_matrix`,
+    all fetched through :func:`_run` before any trace is read, so a
+    run missing from ``runs`` raises :class:`MissingRunError` at once.
+    """
+    base_runs = {s.app: _run(s.app, BASE, 1, runs=runs)
+                 for s in table4_matrix(apps)}
+    return [characterize(a, base_run=base_runs.get(a)) for a in apps]
 
 
 # --------------------------------------------------------------------------
@@ -340,3 +368,61 @@ def fig6_scalar_threads(apps: Sequence[str] = SCALAR_APPS,
                         runs=runs).cycles,
         }
     return Fig6Result(cycles=out)
+
+
+# --------------------------------------------------------------------------
+# Extensions -- claims of Sections 3.2/3.3 and 6 beyond the figures
+# --------------------------------------------------------------------------
+
+#: the more-lanes trend: lane count -> (base machine, VLT-4 machine)
+EXT_LANE_MACHINES: Dict[int, Tuple[MachineConfig, MachineConfig]] = {
+    8: (BASE, V4_CMP),
+    16: (base_config(lanes=16), V4_CMP_16LANE),
+}
+
+
+def extensions_matrix() -> List[RunSpec]:
+    """The workload runs of the extensions report: multiplexed vs
+    replicated VCL on the VLT apps, then trfd on the base and VLT-4
+    machines of each lane count.  The phased kernels are not workloads
+    and run inline."""
+    specs = [RunSpec(app, cfg.name, 4) for app in VLT_VECTOR_APPS
+             for cfg in (V4_CMP, V4_CMP_REPVCL)]
+    for base, vlt in EXT_LANE_MACHINES.values():
+        specs += [RunSpec("trfd", base.name, 1), RunSpec("trfd", vlt.name, 4)]
+    return specs
+
+
+def phased_kernel(first_phase_parts: int) -> Program:
+    """Section 3.3's two-phase kernel: thread 0 runs long vectors under
+    ``vltcfg first_phase_parts``, then four threads run short vectors
+    under ``vltcfg 4``."""
+    return assemble(f"""
+        tid s1
+        vltcfg {first_phase_parts}
+        bne s1, s0, skip
+        li s10, 0
+        li s11, 80
+        rep:
+        li s2, 64
+        setvl s3, s2
+        vfadd.vv v1, v2, v3
+        vfmul.vv v4, v1, v2
+        vfadd.vv v5, v4, v1
+        addi s10, s10, 1
+        blt s10, s11, rep
+        skip:
+        barrier
+        vltcfg 4
+        li s10, 0
+        li s11, 60
+        rep2:
+        li s2, 8
+        setvl s3, s2
+        vfadd.vv v1, v2, v3
+        vfmul.vv v4, v1, v2
+        addi s10, s10, 1
+        blt s10, s11, rep2
+        barrier
+        halt
+        """)

@@ -272,6 +272,14 @@ VLT_SCALAR = _register(MachineConfig(
 CMT = _register(MachineConfig(
     name="CMT", scalar_units=(_smt(_SU4, 2), _smt(_SU4, 2)), vu=None))
 
+# -- extension machines (Sections 3.2 and 6) --------------------------------
+#: V4-CMP with one VCL per VLT thread instead of one multiplexed VCL.
+V4_CMP_REPVCL = _register(replace(
+    V4_CMP, name="V4-CMP-repVCL", vu=replace(V4_CMP.vu, replicated_vcl=True)))
+#: V4-CMP on a 16-lane vector unit (the more-lanes trend).
+V4_CMP_16LANE = _register(replace(
+    V4_CMP, name="V4-CMP-16lane", vu=VectorUnitConfig(lanes=16)))
+
 
 #: lane-swept base machines (Figure 1) resolve by name too, so a run
 #: spec can reference any configuration as plain data.

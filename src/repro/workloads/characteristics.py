@@ -9,7 +9,9 @@ and a base-machine timing run:
 * **Common VLs** -- the most frequent dynamic vector lengths;
 * **% Opportunity** -- percentage of base-machine execution time spent
   in barrier-delimited phases the workload declares parallel (the time
-  VLT multithreading can attack).
+  VLT multithreading can attack).  The base run is the experiment
+  harness's ``(app, base, 1)`` spec when the caller has it; otherwise
+  it is simulated here.
 
 The paper's published values are kept alongside for the harness to print
 paper-vs-measured rows.
@@ -25,6 +27,7 @@ import numpy as np
 
 from ..timing.config import BASE
 from ..timing.run import simulate, trace_for
+from ..timing.stats import RunResult
 from .base import Workload, get_workload
 
 
@@ -65,9 +68,15 @@ PAPER_TABLE4: Dict[str, Tuple[Optional[float], Optional[float],
 NO_OPPORTUNITY = ("mxm", "sage")
 
 
-def characterize(name: str, measure_opportunity: bool = True
+def characterize(name: str, measure_opportunity: bool = True,
+                 base_run: Optional[RunResult] = None
                  ) -> AppCharacteristics:
-    """Measure one application's Table 4 row."""
+    """Measure one application's Table 4 row.
+
+    %vect and the vector lengths come from the single-thread trace.
+    The opportunity comes from ``base_run``, the app's single-thread
+    BASE result, which is simulated here when not given.
+    """
     w = get_workload(name)
     prog = w.program()
     trace = trace_for(prog, 1)
@@ -84,7 +93,8 @@ def characterize(name: str, measure_opportunity: bool = True
 
     opportunity: Optional[float] = None
     if measure_opportunity and name not in NO_OPPORTUNITY:
-        result = simulate(prog, BASE, num_threads=1, trace=trace)
+        result = base_run if base_run is not None else \
+            simulate(prog, BASE, num_threads=1, trace=trace)
         durations = result.phase_durations()
         mask = w.phase_parallel_mask(len(durations))
         par = sum(d for d, m in zip(durations, mask) if m)

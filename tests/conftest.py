@@ -57,6 +57,22 @@ def builder() -> ProgramBuilder:
     return ProgramBuilder("test", memory_kib=64)
 
 
+@pytest.fixture
+def count_simulations(monkeypatch):
+    """Record ``(program name, config name)`` for every timing replay
+    in this process from here on; the list may be cleared mid-test."""
+    import repro.timing.run as timing_run
+    calls = []
+    real = timing_run.run_traces
+
+    def counting(cfg, trace, **kwargs):
+        calls.append((trace.program_name, cfg.name))
+        return real(cfg, trace, **kwargs)
+
+    monkeypatch.setattr(timing_run, "run_traces", counting)
+    return calls
+
+
 @pytest.fixture(autouse=True)
 def _fresh_trace_cache():
     """Drop content-digest-keyed trace memos between tests (hermetic)."""

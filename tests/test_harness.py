@@ -26,6 +26,57 @@ class TestAreaAndTables:
         assert "bt" in text and "(46)" in text
 
 
+class TestTable4FromRunMap:
+    """Table 4's opportunity column is a lookup in the run matrix."""
+
+    def test_rows_equal_inline(self):
+        from repro.harness.runner import ExperimentRunner
+        apps = ["trfd", "mxm", "ocean"]
+        runner = ExperimentRunner(jobs=1)
+        runner.run(E.matrix_for(["table4"], apps=apps))
+        assert E.table4_characteristics(apps, runs=runner.results) == \
+            E.table4_characteristics(apps)
+
+    def test_missing_run_fails_the_section(self, count_simulations):
+        from repro.harness.docgen import generate_experiments_md
+        from repro.harness.runner import (ExperimentRunner,
+                                          MissingRunError, RunSpec)
+        runner = ExperimentRunner(jobs=1)
+        runner.run([RunSpec("mpenc", "base", 1)])
+        count_simulations.clear()
+        with pytest.raises(MissingRunError) as exc:
+            E.table4_characteristics(["mpenc", "trfd"],
+                                     runs=runner.results)
+        assert exc.value.spec == RunSpec("trfd", "base", 1)
+        doc = generate_experiments_md(runs=runner.results)
+        table4 = doc.split("## Table 4")[1].split("## ")[0]
+        assert "SECTION FAILED: required run unavailable: " \
+               "trfd on base (1 thr)" in table4
+        assert count_simulations == []   # nothing re-simulated
+
+    def test_warm_cli_rerun_replays_nothing(self, tmp_path, capsys):
+        from repro.harness.cli import main
+        from repro.timing.run import set_trace_cache_dir
+        argv = ["fig1", "table4", "--apps", "trfd", "--lanes", "1,8",
+                "--cache-dir", str(tmp_path)]
+        try:
+            assert main(argv) == 0
+            capsys.readouterr()
+            assert main(argv) == 0
+        finally:
+            set_trace_cache_dir(None)
+        out = capsys.readouterr().out
+        assert "runner: 2/2 runs succeeded (2 served from result cache" \
+            in out
+        assert "result hits 2, misses 0" in out
+        profile = out.split("host-side phase profile:")[1]
+        phases = {line.split()[0] for line in
+                  profile.split("\n  total")[0].strip().splitlines()}
+        assert "result_cache_load" in phases
+        assert not phases & {"setup", "replay"}
+        assert "trfd" in out.split("[table4:")[0].split("Table 4")[1]
+
+
 class TestFigureDrivers:
     def test_fig1_reduced(self):
         res = E.fig1_lane_scaling(apps=["trfd"], lanes=(1, 8))
@@ -90,6 +141,15 @@ class TestCli:
         assert main(["fig1", "--apps", "trfd", "--lanes", "1,8"]) == 0
         out = capsys.readouterr().out
         assert "trfd" in out and "mxm" not in out
+
+    def test_cli_failed_run_exits_nonzero(self, capsys):
+        # the section degrades, but the exit status reports the failure
+        from repro.harness.cli import main
+        assert main(["fig1", "--apps", "typo", "--lanes", "8"]) == 1
+        out = capsys.readouterr().out
+        assert "fig1: SECTION FAILED -- required run unavailable: " \
+               "typo on base (1 thr)" in out
+        assert "KeyError" in out
 
     def test_cli_zero_timeout_rejected(self, capsys):
         # `--timeout 0` is falsy: it used to silently skip the runner

@@ -176,6 +176,25 @@ class TestDriverIntegration:
     def test_fig6_specs_are_scalar_only(self):
         assert all(s.scalar_only for s in E.fig6_matrix())
 
+    def test_table4_matrix_is_inside_fig1(self):
+        specs = E.matrix_for(["table4"])
+        assert specs == [RunSpec(app, "base", 1) for app in (
+            "mpenc", "trfd", "multprec", "bt", "radix", "ocean", "barnes")]
+        assert set(specs) <= set(E.matrix_for(["fig1"]))
+
+    def test_doc_matrix(self):
+        from repro.timing.config import get_config
+        specs = E.doc_matrix()
+        assert len(specs) == len(set(specs)) == 72
+        figures = E.matrix_for(["fig1", "fig3", "fig4", "fig5", "fig6"])
+        assert specs[:len(figures)] == figures
+        new = set(specs) - set(figures)
+        assert {s.config for s in new} == {
+            "V4-CMP-repVCL", "base-16lane", "V4-CMP-16lane"}
+        assert len(new) == 6
+        for spec in specs:   # every config resolves by name
+            assert get_config(spec.config).name == spec.config
+
 
 class TestWorkloadFlavourAliasing:
     """Regression: Workload.program() was order-dependent for
