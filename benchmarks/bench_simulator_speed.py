@@ -105,7 +105,7 @@ def test_functional_simulation_speed(benchmark):
 
     def run():
         clear_trace_cache()
-        return trace_for(prog, 1)
+        return trace_for(prog, 1, func_engine="reference")
 
     trace = benchmark(_timed(run, walls))
     assert trace.total_ops() > 2000
@@ -148,7 +148,8 @@ def test_fast_trace_generation_speed(benchmark):
     prog = assemble(_SRC_STEADY)
 
     ref_walls: list = []
-    run_ref = _timed(lambda: trace_for(prog, 1), ref_walls)
+    run_ref = _timed(lambda: trace_for(prog, 1, func_engine="reference"),
+                     ref_walls)
     for _ in range(3):
         clear_trace_cache()
         ref_trace = run_ref()

@@ -6,7 +6,8 @@ from .fast import (FUNC_ENGINES, FastExecutor, run_program_fast,
 from .memory import Memory, MemoryFault, MisalignedAccess
 from .state import ThreadState
 from .trace import (TRACE_FORMAT_VERSION, DynOp, ProgramTrace, ThreadTrace,
-                    load_trace, save_trace, trace_from_bytes, trace_to_bytes)
+                    TraceInvariantError, load_trace, save_trace,
+                    trace_from_bytes, trace_to_bytes)
 from .trace_cache import TraceCache
 
 __all__ = [
@@ -15,6 +16,7 @@ __all__ = [
     "validate_func_engine",
     "Memory", "MemoryFault", "MisalignedAccess",
     "ThreadState", "DynOp", "ProgramTrace", "ThreadTrace",
+    "TraceInvariantError",
     "TRACE_FORMAT_VERSION", "load_trace", "save_trace",
     "trace_from_bytes", "trace_to_bytes", "TraceCache",
 ]

@@ -54,7 +54,8 @@ from .executor import (ExecutionError, _fdiv, _sdiv, _srem, _srl, _vdiv,
                        _vrem, _vsrl)
 from .memory import Memory, MemoryFault, MisalignedAccess
 from .state import ThreadState
-from .trace import ProgramTrace, ThreadTrace, thread_trace_from_columns
+from .trace import (ProgramTrace, ThreadTrace, decode_static,
+                    thread_trace_from_columns)
 
 #: functional (trace-generation) engines selectable throughout the stack
 FUNC_ENGINES = ("reference", "fast")
@@ -1127,7 +1128,13 @@ class FastExecutor:
             "r_flat": stat["r_flat"], "w_flat": stat["w_flat"],
             "a_flat": a_flat,
         }
-        return thread_trace_from_columns(tr.st.tid, cols, stat["op_table"])
+        # threads (and runs) that share this expansion share its per-pc
+        # decode: it depends only on the static columns above
+        static = stat.get("static")
+        if static is None:
+            static = stat["static"] = decode_static(cols, stat["op_table"])
+        return thread_trace_from_columns(tr.st.tid, cols, stat["op_table"],
+                                         static=static)
 
 
 def run_program_fast(program: Program, num_threads: int = 1,

@@ -1,11 +1,25 @@
 """Dynamic-trace records emitted by the functional simulator.
 
-The timing simulator is trace-driven: it replays :class:`DynOp` streams,
-one per software thread, against the microarchitecture model.  A
-:class:`DynOp` carries exactly what timing needs -- the static
+The timing simulator is trace-driven: it replays one trace per software
+thread against the microarchitecture model.  A trace carries exactly
+what timing needs -- per dynamic op the static
 :class:`~repro.isa.opcodes.OpSpec`, the dense register uids read and
-written, the dynamic vector length, the element byte addresses of memory
-operations, and branch outcomes -- and nothing else (no data values).
+written, the dynamic vector length, the element byte addresses of
+memory operations, and branch outcomes -- and nothing else (no data
+values).
+
+A thread's trace has up to three equivalent forms:
+
+* the columnar parallel arrays of the npz cache format
+  (:data:`COLUMN_NAMES`), which the fast executor and the npz loader
+  attach directly;
+* a ``List[DynOp]``, one object per dynamic op, which the reference
+  executor appends and which tools (diff, pipeview, event payloads)
+  read;
+* the replay form (:class:`ReplayTrace`) the timing units read: one
+  shared :class:`StaticOp` per distinct pc, decoded once from the
+  columns with a check (:func:`decode_static`), plus plain lists of the
+  dynamic fields.
 """
 
 from __future__ import annotations
@@ -18,11 +32,22 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..isa.opcodes import OpSpec, spec
+from ..isa.registers import NUM_REG_UIDS
 
 #: the per-thread parallel arrays of the columnar trace layout, in
 #: canonical (serialization) order
 COLUMN_NAMES = ("pcs", "ops", "vls", "takens", "tgts", "imms", "has_addrs",
                 "r_off", "w_off", "a_off", "r_flat", "w_flat", "a_flat")
+
+
+class TraceInvariantError(ValueError):
+    """A trace's columns break an invariant every recorded trace keeps."""
+
+
+#: pcs at or above this are rejected at decode.  It is far above any
+#: program's length and bounds the per-pc tables a corrupt trace could
+#: make the decode (and the machine's code pre-touch) allocate.
+MAX_PC = 1 << 20
 
 
 class DynOp:
@@ -52,49 +77,139 @@ class DynOp:
         return f"<DynOp pc={self.pc} {self.op}{extra}>"
 
 
+class StaticOp:
+    """The part of a dynamic op that every instance of its pc shares.
+
+    It has :class:`DynOp`'s static attributes (``pc``, ``op``, ``spec``,
+    ``reads``, ``writes``), so the timing units read either kind the
+    same way.
+    """
+
+    __slots__ = ("pc", "op", "spec", "reads", "writes")
+
+    def __init__(self, pc: int, op: str, spec: OpSpec,
+                 reads: Tuple[int, ...], writes: Tuple[int, ...]):
+        self.pc = pc
+        self.op = op
+        self.spec = spec
+        self.reads = reads
+        self.writes = writes
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<StaticOp pc={self.pc} {self.op}>"
+
+
+def _gather(records: list, index: np.ndarray) -> list:
+    """``[records[k] for k in index]``, as one object-array gather."""
+    table = np.empty(len(records), dtype=object)
+    for k, rec in enumerate(records):
+        table[k] = rec
+    return table[index].tolist()
+
+
+class ReplayTrace:
+    """One thread's trace in the form the timing units replay.
+
+    ``ops[i]`` is op *i*'s shared per-pc :class:`StaticOp`.  The dynamic
+    fields the units read are plain lists indexed like ``ops``:
+
+    * ``vls`` -- the vector length (0 for scalar ops);
+    * ``takens`` -- the branch outcome (-1 none, 0, 1);
+    * ``imms`` -- the ``vltcfg`` immediate (-1 none);
+    * ``addrs`` -- the first element address of each memory op (0 for
+      others); a scalar memory op has exactly one.
+
+    A vector memory op's addresses are sliced from the flat address
+    column by :meth:`vaddrs` when the op is dispatched.
+    """
+
+    __slots__ = ("records", "index", "ops", "vls", "takens", "imms",
+                 "addrs", "_a_off", "_a_flat")
+
+    def __init__(self, cols: Dict[str, object],
+                 static: Tuple[List[StaticOp], np.ndarray]):
+        records, index = static
+        #: one record per distinct pc, in pc order
+        self.records = records
+        #: each op's position in :attr:`records`
+        self.index = index
+        self.ops: List[StaticOp] = _gather(records, index)
+        self.vls: List[int] = cols["vls"].tolist()
+        self.takens: List[int] = cols["takens"].tolist()
+        self.imms: List[int] = cols["imms"].tolist()
+        a_off, a_flat = cols["a_off"], cols["a_flat"]
+        starts = a_off[:-1]
+        has = a_off[1:] > starts
+        first = np.zeros(starts.size, dtype=np.int64)
+        first[has] = a_flat[starts[has]]
+        self.addrs: List[int] = first.tolist()
+        self._a_off = a_off
+        self._a_flat = a_flat
+
+    def per_op(self, table: list) -> list:
+        """Spread a per-record table (one value per :attr:`records`
+        entry) to one value per op."""
+        return _gather(table, self.index)
+
+    def vaddrs(self, i: int) -> np.ndarray:
+        """The element addresses of op ``i`` (a read-only view)."""
+        return self._a_flat[self._a_off[i]:self._a_off[i + 1]]
+
+
 class ThreadTrace:
     """The dynamic trace of one software thread.
 
     ``ops`` is segmented by barriers only implicitly -- barrier DynOps
     appear in-stream and the timing model synchronises on them.
 
-    A trace holds its ops in one (or both) of two equivalent forms: a
-    ``List[DynOp]`` and the columnar parallel arrays of the npz cache
-    format.  The reference executor appends DynOps; the fast executor
-    and the npz loader attach columns directly and the ``ops`` list is
-    materialised lazily on first access, so array consumers
-    (serialization, bulk stats) never pay a per-op decode.
+    The reference executor appends DynOps; the fast executor and the
+    npz loader attach columns directly (see
+    :func:`thread_trace_from_columns`).  Each other form is built on
+    first use and cached: :meth:`columns` encodes DynOps,
+    :meth:`replay` decodes columns into the form the timing units
+    read, and ``ops`` builds DynOps from the columns.  So an untraced
+    replay of a columnar trace never builds a DynOp, and the summary
+    statistics below read the columns whenever the trace has them.
     """
 
-    __slots__ = ("tid", "_ops", "_cols")
+    __slots__ = ("tid", "_ops", "_cols", "_static", "_replay")
 
     def __init__(self, tid: int, ops: Optional[List[DynOp]] = None):
         self.tid = tid
         self._ops: Optional[List[DynOp]] = [] if ops is None else ops
         self._cols: Optional[Dict[str, object]] = None
+        self._static: Optional[Tuple[List[StaticOp], np.ndarray]] = None
+        self._replay: Optional[ReplayTrace] = None
 
     @property
     def ops(self) -> List[DynOp]:
         if self._ops is None:
-            cols = self._cols
-            self._ops = _ops_from_columns(cols, cols["op_table"])
+            records, index = self._static_decode()
+            self._ops = _ops_from_columns(self._cols,
+                                          _gather(records, index))
         return self._ops
 
     @ops.setter
     def ops(self, value: List[DynOp]) -> None:
         self._ops = value
-        self._cols = None
+        self._drop_views()
 
     def append(self, op: DynOp) -> None:
         self.ops.append(op)
-        self._cols = None   # invalidate any cached columnar view
+        self._drop_views()
+
+    def _drop_views(self) -> None:
+        """Forget every form derived from the DynOps."""
+        self._cols = None
+        self._static = None
+        self._replay = None
 
     def __len__(self) -> int:
         if self._ops is None:
             return int(self._cols["pcs"].size)
         return len(self._ops)
 
-    # -- columnar view -------------------------------------------------------
+    # -- columnar and replay views ------------------------------------------
 
     def columns(self) -> Dict[str, object]:
         """Flat-array (columnar) view of this thread's ops.
@@ -117,18 +232,41 @@ class ThreadTrace:
             self._cols = cols
         return cols
 
+    def _static_decode(self) -> Tuple[List[StaticOp], np.ndarray]:
+        """``(records, index)`` from :func:`decode_static`, cached."""
+        if self._static is None:
+            cols = self.columns()
+            self._static = decode_static(cols, cols["op_table"])
+        return self._static
+
+    def replay(self) -> ReplayTrace:
+        """The :class:`ReplayTrace` of this thread, built once however
+        many machine configurations replay it."""
+        if self._replay is None:
+            self._replay = ReplayTrace(self.columns(),
+                                       self._static_decode())
+        return self._replay
+
     # -- summary statistics (used by workload characterisation) -------------
+
+    def _vector_mask(self) -> np.ndarray:
+        """Which ops of the columns are vector ops."""
+        cols = self._cols
+        is_vec = np.array([spec(op).is_vector for op in cols["op_table"]],
+                          dtype=bool)
+        return is_vec[cols["ops"]]
 
     def counts(self) -> Dict[str, int]:
         """Instruction-count summary: total, scalar, vector, element ops."""
-        if self._ops is None:
-            cols = self._cols
-            vec = self._vector_positions(cols)
+        if self._cols is not None:
+            vec = self._vector_mask()
+            total = int(vec.size)
+            vector = int(np.count_nonzero(vec))
             return {
-                "total": int(cols["pcs"].size),
-                "scalar": int(cols["pcs"].size - vec.size),
-                "vector": int(vec.size),
-                "element_ops": int(cols["vls"][vec].sum()),
+                "total": total,
+                "scalar": total - vector,
+                "vector": vector,
+                "element_ops": int(self._cols["vls"][vec].sum()),
             }
         total = len(self.ops)
         vector = sum(1 for o in self.ops if o.spec.is_vector)
@@ -140,23 +278,22 @@ class ThreadTrace:
             "element_ops": elem_ops,
         }
 
-    @staticmethod
-    def _vector_positions(cols: Dict[str, object]) -> np.ndarray:
-        is_vec = np.array([spec(op).is_vector for op in cols["op_table"]],
-                          dtype=bool)
-        return np.nonzero(is_vec[cols["ops"]])[0]
-
     def vector_lengths(self) -> np.ndarray:
         """The dynamic VL of every vector instruction, in order."""
-        if self._ops is None:
-            cols = self._cols
-            return cols["vls"][self._vector_positions(cols)].astype(
+        if self._cols is not None:
+            return self._cols["vls"][self._vector_mask()].astype(
                 np.int64, copy=True)
         return np.array([o.vl for o in self.ops if o.spec.is_vector],
                         dtype=np.int64)
 
     def opcode_histogram(self) -> Dict[str, int]:
-        """Dynamic instruction counts per mnemonic."""
+        """Dynamic instruction counts per mnemonic, in order of first
+        appearance."""
+        cols = self._cols
+        if cols is not None:
+            table = cols["op_table"]
+            counts = np.bincount(cols["ops"], minlength=len(table))
+            return {op: int(n) for op, n in zip(table, counts) if n}
         hist: Dict[str, int] = {}
         for o in self.ops:
             hist[o.op] = hist.get(o.op, 0) + 1
@@ -165,9 +302,9 @@ class ThreadTrace:
     def pool_histogram(self) -> Dict[str, int]:
         """Dynamic instruction counts per functional-unit pool."""
         hist: Dict[str, int] = {}
-        for o in self.ops:
-            p = o.spec.pool
-            hist[p] = hist.get(p, 0) + 1
+        for op, n in self.opcode_histogram().items():
+            p = spec(op).pool
+            hist[p] = hist.get(p, 0) + n
         return hist
 
 
@@ -260,52 +397,147 @@ def _encode_thread(t: ThreadTrace) -> Dict[str, np.ndarray]:
 
 
 def _ops_from_columns(arrays: Dict[str, np.ndarray],
-                      op_table: List[str]) -> List[DynOp]:
-    """Materialise the ``List[DynOp]`` form of one thread's columns."""
-    pcs = arrays["pcs"]
-    ops = arrays["ops"]
-    vls = arrays["vls"]
-    takens = arrays["takens"]
-    tgts = arrays["tgts"]
-    imms = arrays["imms"]
-    has_addrs = arrays["has_addrs"]
-    r_off, w_off, a_off = arrays["r_off"], arrays["w_off"], arrays["a_off"]
-    r_flat, w_flat, a_flat = (arrays["r_flat"], arrays["w_flat"],
-                              arrays["a_flat"])
-    specs = [(op, spec(op)) for op in op_table]
+                      records: List[StaticOp]) -> List[DynOp]:
+    """Materialise the ``List[DynOp]`` form of one thread's columns.
+
+    ``records[i]`` is op *i*'s per-pc record: every op of one pc shares
+    its ``spec``, ``reads`` and ``writes`` objects.
+    """
+    a_off = arrays["a_off"].tolist()
+    a_flat = arrays["a_flat"]
     out: List[DynOp] = []
     append = out.append
-    for i in range(len(pcs)):
-        op, sp = specs[ops[i]]
-        taken = None if takens[i] < 0 else bool(takens[i])
-        tgt = None if tgts[i] < 0 else int(tgts[i])
-        imm = None if imms[i] < 0 else int(imms[i])
-        addrs = (a_flat[a_off[i]:a_off[i + 1]].copy()
-                 if has_addrs[i] else None)
+    for i, (rec, vl, taken, tgt, imm, has_addrs) in enumerate(zip(
+            records, arrays["vls"].tolist(), arrays["takens"].tolist(),
+            arrays["tgts"].tolist(), arrays["imms"].tolist(),
+            arrays["has_addrs"].tolist())):
         append(DynOp(
-            int(pcs[i]), op, sp,
-            tuple(int(u) for u in r_flat[r_off[i]:r_off[i + 1]]),
-            tuple(int(u) for u in w_flat[w_off[i]:w_off[i + 1]]),
-            vl=int(vls[i]), addrs=addrs, taken=taken, tgt=tgt, imm=imm))
+            rec.pc, rec.op, rec.spec, rec.reads, rec.writes, vl,
+            a_flat[a_off[i]:a_off[i + 1]].copy() if has_addrs else None,
+            None if taken < 0 else taken > 0,
+            None if tgt < 0 else tgt,
+            None if imm < 0 else imm))
     return out
 
 
-def thread_trace_from_columns(tid: int, arrays: Dict[str, np.ndarray],
-                              op_table: List[str]) -> ThreadTrace:
+def _check_layout(cols: Dict[str, object], specs: List[OpSpec]) -> None:
+    """Shape and range checks the per-pc decode and the replay rely on;
+    ``specs[k]`` is the spec of op id ``k``."""
+    n = cols["pcs"].size
+    for name in ("ops", "vls", "takens", "tgts", "imms", "has_addrs"):
+        if cols[name].shape != (n,):
+            raise TraceInvariantError(
+                f"column {name!r} has shape {cols[name].shape}, "
+                f"expected ({n},)")
+    for kind in "rwa":
+        off, flat = cols[f"{kind}_off"], cols[f"{kind}_flat"]
+        if (off.shape != (n + 1,) or off[0] != 0 or off[-1] != flat.size
+                or (n and np.diff(off).min() < 0)):
+            raise TraceInvariantError(
+                f"offsets {kind}_off do not tile {kind}_flat")
+    if n and (cols["pcs"].min() < 0 or cols["pcs"].max() >= MAX_PC
+              or cols["ops"].min() < 0 or cols["ops"].max() >= len(specs)):
+        raise TraceInvariantError("a pc or op id is out of range")
+    for kind in "rw":
+        flat = cols[f"{kind}_flat"]
+        if flat.size and (flat.min() < 0 or flat.max() >= NUM_REG_UIDS):
+            raise TraceInvariantError(
+                f"a register uid in {kind}_flat is out of range")
+    takens = cols["takens"]
+    if n and (takens.min() < -1 or takens.max() > 1):
+        raise TraceInvariantError("a branch outcome is not -1, 0 or 1")
+    is_smem = np.array([sp.pool == "mem" for sp in specs], dtype=bool)
+    no_addr = is_smem[cols["ops"]] & (np.diff(cols["a_off"]) == 0)
+    if no_addr.any():
+        raise TraceInvariantError(
+            f"scalar memory op at trace index "
+            f"{int(np.argmax(no_addr))} has no address")
+
+
+def decode_static(cols: Dict[str, object], op_table: List[str]
+                  ) -> Tuple[List[StaticOp], np.ndarray]:
+    """Decode a thread's columns once per pc, with a check.
+
+    Returns ``(records, index)``: one :class:`StaticOp` per distinct pc,
+    in pc order, and each op's position in ``records``.  Every dynamic
+    op at one pc must carry the same op id, reads and writes -- the
+    fields of the instruction at that pc, so every executor-recorded
+    trace does.  Raises :class:`TraceInvariantError` when the columns
+    break that or are malformed, so a corrupt trace fails here and not
+    as a wrong cycle count.  The check is vectorised: one gather-compare
+    per column against one representative op of each pc.
+    """
+    specs = [spec(op) for op in op_table]
+    _check_layout(cols, specs)
+    pcs, ops = cols["pcs"], cols["ops"]
+    # pcs are small non-negative ints (checked above): index by value
+    upcs = np.flatnonzero(np.bincount(pcs))
+    slot = np.zeros(upcs[-1] + 1 if upcs.size else 0, dtype=np.int64)
+    slot[upcs] = np.arange(upcs.size)
+    index = slot[pcs]
+    first = np.empty(upcs.size, dtype=np.int64)
+    first[index] = np.arange(pcs.size)   # one op of each pc
+    rep = first[index]   # per op: its pc's representative
+
+    def disagree(bad: np.ndarray, what: str) -> None:
+        i = int(np.argmax(bad))
+        raise TraceInvariantError(
+            f"trace index {i} (pc {int(pcs[i])}): {what} differ from "
+            f"trace index {int(rep[i])} at that pc")
+
+    bad = ops[rep] != ops
+    if bad.any():
+        disagree(bad, "op ids")
+    for kind, what in (("r", "reads"), ("w", "writes")):
+        off, flat = cols[f"{kind}_off"], cols[f"{kind}_flat"]
+        lens = np.diff(off)
+        bad = lens[rep] != lens
+        if bad.any():
+            disagree(bad, what)
+        src = np.repeat(off[rep] - off[:-1], lens) \
+            + np.arange(flat.size, dtype=np.int64)
+        bad_flat = flat[src] != flat
+        if bad_flat.any():
+            bad = np.zeros(pcs.size, dtype=bool)
+            bad[np.searchsorted(off, np.nonzero(bad_flat)[0],
+                                side="right") - 1] = True
+            disagree(bad, what)
+    r_off, r_flat = cols["r_off"], cols["r_flat"]
+    w_off, w_flat = cols["w_off"], cols["w_flat"]
+    records = []
+    for pc, i, op in zip(upcs.tolist(), first.tolist(),
+                         ops[first].tolist()):
+        records.append(StaticOp(
+            pc, op_table[op], specs[op],
+            tuple(r_flat[r_off[i]:r_off[i + 1]].tolist()),
+            tuple(w_flat[w_off[i]:w_off[i + 1]].tolist())))
+    return records, index
+
+
+def thread_trace_from_columns(
+        tid: int, arrays: Dict[str, np.ndarray], op_table: List[str],
+        static: Optional[Tuple[List[StaticOp], np.ndarray]] = None
+) -> ThreadTrace:
     """Build a :class:`ThreadTrace` directly from its columnar arrays.
 
-    The DynOp list is materialised lazily on first ``.ops`` access;
-    until then every consumer (serialization, stats) works straight off
-    the arrays.  ``op_table`` is validated eagerly so a corrupt mnemonic
-    table fails here, not at some later access.
+    The columns are decoded per pc here (:func:`decode_static`), so a
+    corrupt mnemonic table or a trace that breaks the per-pc invariant
+    raises now, not at some later replay.  ``static`` is a decode made
+    from the very same ``pcs``/``ops``/reads/writes arrays (threads that
+    share one control-flow path share them); it is reused, and only the
+    layout of these columns is checked.  DynOps are built only on first
+    ``.ops`` access.
     """
-    for op in op_table:
-        spec(op)
     thread = ThreadTrace(tid)
     cols = dict(arrays)
     cols["op_table"] = list(op_table)
+    if static is None:
+        static = decode_static(cols, cols["op_table"])
+    else:
+        _check_layout(cols, [spec(op) for op in op_table])
     thread._ops = None
     thread._cols = cols
+    thread._static = static
     return thread
 
 

@@ -24,7 +24,8 @@ Layout (everything under one user-chosen root)::
 Writes go through a same-directory temp file and ``os.replace`` so that
 concurrent workers racing on the same key are safe: last writer wins and
 readers never observe a partial file.  Any unreadable/corrupt entry is
-treated as a miss.
+treated as a miss, including a trace that fails the per-pc decode check
+(:class:`~repro.functional.trace.TraceInvariantError`).
 
 Results use pickle (they are internal machine-generated artifacts keyed
 by content digest); traces use the explicit ``allow_pickle=False``
@@ -131,7 +132,8 @@ class TraceCache:
             self.trace_misses += 1
             return None
         except Exception:
-            # corrupt / truncated / wrong-version entry: treat as a miss
+            # corrupt / truncated / wrong-version entry, or one that
+            # breaks the per-pc invariant: treat as a miss
             self.trace_misses += 1
             return None
         if trace.num_threads != num_threads:  # pragma: no cover - paranoia

@@ -30,8 +30,8 @@ Usage::
     vlt-repro diff                                  # functional-vs-timing
                                                     # check, fig3/5/6 matrix
     vlt-repro diff mxm --config base --threads 2    # one differential run
-    vlt-repro diff --func-engine fast               # fast-vs-reference
-                                                    # functional check
+    vlt-repro diff --func-engine reference          # replay the oracle
+                                                    # engine's traces
     vlt-repro fig3 --verify --jobs 4                # differentially
                                                     # validated experiments
     vlt-repro fig3 --jobs 4 --telemetry tele-out    # fleet telemetry:
@@ -111,7 +111,7 @@ def instruction_mix(apps: Optional[List[str]] = None,
 
 
 def run_single(app: str, config: str = "base", threads: int = 1,
-               scalar_only: bool = False, func_engine: str = "reference",
+               scalar_only: bool = False, func_engine: str = "fast",
                strategy: str = "auto") -> str:
     """Run one workload on one machine configuration; report the stats."""
     from ..timing import simulate
@@ -137,7 +137,7 @@ def run_single(app: str, config: str = "base", threads: int = 1,
 
 def run_trace(app: str, config: str = "base", threads: int = 1,
               scalar_only: bool = False, out: Optional[str] = None,
-              max_events: int = 1_000_000, func_engine: str = "reference",
+              max_events: int = 1_000_000, func_engine: str = "fast",
               strategy: str = "auto") -> str:
     """Run one workload fully instrumented; write a Chrome trace-event
     JSON (loads in Perfetto) and return the stall-attribution report."""
@@ -186,7 +186,7 @@ def run_trace(app: str, config: str = "base", threads: int = 1,
 def run_profile(app: str, config: str = "base", threads: int = 1,
                 scalar_only: bool = False,
                 json_path: Optional[str] = None,
-                func_engine: str = "reference",
+                func_engine: str = "fast",
                 strategy: str = "auto") -> str:
     """Host-side self-profiling: wall time per simulation phase."""
     from ..timing import clear_trace_cache
@@ -201,8 +201,7 @@ def run_profile(app: str, config: str = "base", threads: int = 1,
     prof = PhaseProfiler()
     r = simulate(prog, cfg, num_threads=threads, profiler=prof,
                  func_engine=func_engine)
-    ops = sum(len(t.ops) for t in
-              trace_for(prog, threads).threads)
+    ops = trace_for(prog, threads).total_ops()
     total = prof.total_wall_s
     lines = [
         f"profile {app} on {config} ({threads} threads): "
@@ -362,7 +361,7 @@ def lint_programs(apps: Optional[List[str]] = None,
 def diff_runs(app: Optional[str] = None, config: str = "base",
               threads: int = 1, scalar_only: bool = False,
               apps: Optional[List[str]] = None,
-              func_engine: str = "reference",
+              func_engine: str = "fast",
               strategy: str = "auto") -> Tuple[str, int]:
     """Differentially validate runs; returns (report, mismatch count).
 
@@ -371,10 +370,11 @@ def diff_runs(app: Optional[str] = None, config: str = "base",
     apps.  Without, sweeps the full Figure-3/5/6 run matrix -- every
     (app x config x threads) point behind the paper's headline
     figures -- proving the timing machine replays exactly what the
-    functional executor computed.  ``--func-engine fast`` makes the
-    trace under test (and the state-comparison run) come from the
-    fast block-compiled engine, turning the sweep into a
-    fast-vs-reference functional equivalence check.
+    functional executor computed.  The trace under test (and the
+    state-comparison run) come from the engine ``func_engine`` names:
+    by default the fast block-compiled engine, which makes the sweep a
+    fast-vs-reference functional equivalence check as well;
+    ``--func-engine reference`` runs the oracle end to end.
     """
     from ..harness.runner import RunSpec
     from ..timing.config import get_config
@@ -556,13 +556,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--cache-budget-mb", type=float, default=None,
                         help="LRU size budget for --cache-dir in MB "
                              "('serve' verb; oldest entries evicted)")
-    parser.add_argument("--func-engine", type=str, default="reference",
+    parser.add_argument("--func-engine", type=str, default="fast",
                         choices=("reference", "fast"),
                         help="functional trace-generation engine: "
-                             "'reference' (the oracle interpreter) or "
-                             "'fast' (block-compiled NumPy engine, "
-                             "verified bit-identical; see "
-                             "docs/architecture.md)")
+                             "'fast' (block-compiled NumPy engine, the "
+                             "default) or 'reference' (the oracle "
+                             "interpreter it is verified bit-identical "
+                             "against; see docs/architecture.md)")
     args = parser.parse_args(argv)
 
     if args.experiments[0] == "lint":
@@ -604,7 +604,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         runner = None
         if (args.jobs > 1 or args.cache_dir or args.timeout is not None
                 or args.verify or args.telemetry or args.progress
-                or args.func_engine != "reference"):
+                or args.func_engine != parser.get_default("func_engine")):
             specs = tradeoff_matrix(apps, strategies, config=args.config,
                                     threads=args.threads)
             runner = ExperimentRunner(jobs=args.jobs,

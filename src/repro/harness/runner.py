@@ -266,7 +266,7 @@ def _spec_payload(spec: RunSpec, timeout_s: Optional[float],
 def _execute_spec(spec: RunSpec, timeout_s: Optional[float],
                   max_cycles: int,
                   verify: bool = False,
-                  func_engine: str = "reference",
+                  func_engine: str = "fast",
                   telemetry: bool = False) -> Dict[str, object]:
     """Execute one spec; never raises (failures come back as data).
 
@@ -436,7 +436,7 @@ class ExperimentRunner:
     def __init__(self, jobs: int = 1, cache_dir: Optional[str] = None,
                  timeout: Optional[float] = None, retries: int = 2,
                  max_cycles: int = DEFAULT_MAX_CYCLES,
-                 verify: bool = False, func_engine: str = "reference",
+                 verify: bool = False, func_engine: str = "fast",
                  telemetry: Union[Telemetry, str, None] = None,
                  progress: bool = False) -> None:
         if jobs < 1:
@@ -455,7 +455,7 @@ class ExperimentRunner:
         self.timeout = timeout
         self.retries = retries
         self.max_cycles = max_cycles
-        #: functional trace-generation engine ("reference" or "fast")
+        #: functional trace-generation engine ("fast" or "reference")
         self.func_engine = func_engine
         #: differentially validate every run (functional vs timing); a
         #: mismatch is a structured, non-retryable failure

@@ -38,7 +38,7 @@ class JobRequest:
     config: str
     threads: int = 1
     scalar_only: bool = False
-    func_engine: str = "reference"
+    func_engine: str = "fast"
     max_cycles: int = DEFAULT_MAX_CYCLES
 
     @classmethod
@@ -70,7 +70,7 @@ class JobRequest:
         if not isinstance(max_cycles, int) or isinstance(max_cycles, bool) \
                 or max_cycles < 1:
             raise BadRequest("'max_cycles' must be a positive integer")
-        func_engine = body.get("func_engine", "reference")
+        func_engine = body.get("func_engine", "fast")
         from ..functional.fast import validate_func_engine
         try:
             validate_func_engine(func_engine)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import List, Optional, TYPE_CHECKING
 
-from ..functional.trace import DynOp
+from ..functional.trace import ReplayTrace
 from ..isa.registers import NUM_REG_UIDS
 from ..obs.events import Event, LANE_ISSUE, STALL, StallReason
 from .branch import BimodalPredictor
@@ -86,7 +86,11 @@ class LaneCore:
                             name=f"lane{lane_idx}-I$", bus=self.obs)
         self.bpred = BimodalPredictor(cfg.bpred_entries)
         self.tid: Optional[int] = None
-        self.trace: List[DynOp] = []
+        #: the per-op list: op i's static fields (and event payload)
+        self.trace: list = []
+        #: op i's first memory address and branch outcome
+        self.addrs: List[int] = []
+        self.takens: List[int] = []
         self.idx = 0
         self.reg_ready = [0] * NUM_REG_UIDS
         self.stall_until = 0
@@ -102,22 +106,15 @@ class LaneCore:
         #: slip memo: no scan can issue before this cycle (0: unknown)
         self.slip_wake = 0
 
-    def add_thread(self, tid: int, trace: List[DynOp]) -> None:
+    def add_thread(self, tid: int, replay: ReplayTrace, ops: list) -> None:
         self.tid = tid
-        self.trace = trace
+        self.trace = ops
+        self.addrs = replay.addrs
+        self.takens = replay.takens
         self.halted = False
-        memo: dict = {}
-        hazards = []
-        for op in trace:
-            # keyed on the spec's identity: hashing the frozen OpSpec
-            # dataclass hashes every one of its fields
-            key = (id(op.spec), op.reads, op.writes)
-            rec = memo.get(key)
-            if rec is None:
-                rec = memo[key] = _hazard_record(op.spec, op.reads,
-                                                 op.writes)
-            hazards.append(rec)
-        self.hazards = hazards
+        self.hazards = replay.per_op([
+            _hazard_record(r.spec, r.reads, r.writes)
+            for r in replay.records])
 
     # ------------------------------------------------------------------
 
@@ -140,7 +137,8 @@ class LaneCore:
                 self.pre_issued.discard(self.idx)
                 self.idx += 1
                 continue
-            dynop = trace[self.idx]
+            i = self.idx
+            dynop = trace[i]
             spec = dynop.spec
 
             iline = (CODE_BASE + dynop.pc * INSTR_BYTES) // self.cfg.icache_line
@@ -203,7 +201,7 @@ class LaneCore:
                 if mem_slots == 0:
                     return
                 mem_slots -= 1
-                addr = int(dynop.addrs[0])
+                addr = self.addrs[i]
                 if spec.is_load:
                     done = self.l2.access(addr, cycle + spec.latency)
                 else:
@@ -227,7 +225,8 @@ class LaneCore:
             budget -= 1
 
             if spec.is_branch and not spec.is_uncond:
-                correct = self.bpred.predict_and_update(dynop.pc, dynop.taken)
+                correct = self.bpred.predict_and_update(dynop.pc,
+                                                        self.takens[i])
                 if not correct:
                     self.stats.branch_mispredicts += 1
                     self.stall_until = done + self.cfg.mispredict_penalty
@@ -302,7 +301,7 @@ class LaneCore:
                     op = trace[j]
                     spec = op.spec
                     if kind == _LOAD:
-                        done = self.l2.access(int(op.addrs[0]),
+                        done = self.l2.access(self.addrs[j],
                                               cycle + spec.latency)
                         mem_slots -= 1
                     else:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..functional.trace import DynOp, ProgramTrace
+from ..functional.trace import ProgramTrace, ThreadTrace
 from ..obs.events import (BARRIER_ARRIVE, BARRIER_RELEASE, Event, EventBus,
                           ISSUE, LANE_ISSUE, VISSUE, VLCFG)
 from .config import MachineConfig
@@ -50,13 +50,22 @@ class _LegacyHookSink:
 
 
 class Machine:
-    """A configured machine replaying one multi-threaded program trace."""
+    """A configured machine replaying one multi-threaded program trace.
 
-    def __init__(self, cfg: MachineConfig, traces: List[List[DynOp]],
+    ``threads`` holds one :class:`~repro.functional.trace.ThreadTrace`
+    per software thread (a ``ProgramTrace``'s ``threads``).  The units
+    read each thread's replay form (:meth:`ThreadTrace.replay`).  Its
+    per-op list holds the shared per-pc records; with the event bus
+    enabled the units carry the trace's own ``ThreadTrace.ops``
+    instead, so event payloads are the DynOps that diff, pipeview and
+    the metric sinks know.
+    """
+
+    def __init__(self, cfg: MachineConfig, threads: List[ThreadTrace],
                  max_cycles: int = 50_000_000, hook=None,
                  obs: Optional[EventBus] = None):
         self.cfg = cfg
-        self.num_threads = len(traces)
+        self.num_threads = len(threads)
         self.max_cycles = max_cycles
         #: observability event bus; a fresh disabled bus (the null-sink
         #: fast path) unless the caller supplies one with sinks attached
@@ -81,12 +90,18 @@ class Machine:
         self.barrier_count = 0
         self.barrier_release_cycles: List[int] = []
 
+        replays = [t.replay() for t in threads]
+        if self.obs.enabled:
+            ops = [t.ops for t in threads]
+        else:
+            ops = [r.ops for r in replays]
+
         # Code is loader-resident in the L2: pre-touch its lines so
         # I-cache refills cost an L2 hit, not a cold main-memory miss
         # (the paper measures steady-state regions).  Setup noise is
         # suppressed on the event bus -- these are not simulated misses.
-        max_pc = max((max(op.pc for op in t) if t else 0) for t in traces) \
-            if traces else 0
+        max_pc = max((r.records[-1].pc for r in replays if r.records),
+                     default=0)
         from .scalar_unit import CODE_BASE, INSTR_BYTES
         line = cfg.l2.line
         self.obs.suppress()
@@ -104,7 +119,7 @@ class Machine:
                 for i in range(cfg.vu.lanes)]
             for tid, (lane, _) in enumerate(cfg.placement(self.num_threads)):
                 core = self.lane_cores[lane]
-                core.add_thread(tid, traces[tid])
+                core.add_thread(tid, replays[tid], ops[tid])
                 self._threads[tid] = ("lane", core, None)
         else:
             if cfg.vu is not None:
@@ -115,7 +130,7 @@ class Machine:
                     invalidate=lambda addrs: self.l1d_invalidate_lines(
                         addrs, line))
             for tid, (u, _ctx) in enumerate(cfg.placement(self.num_threads)):
-                ctx = self.sus[u].add_thread(tid, traces[tid])
+                ctx = self.sus[u].add_thread(tid, replays[tid], ops[tid])
                 self._threads[tid] = ("su", self.sus[u], ctx)
 
     # -- barrier / completion callbacks -----------------------------------------
@@ -310,8 +325,7 @@ def run_traces(cfg: MachineConfig, trace: ProgramTrace,
     for the ``setup`` / ``replay`` / ``stats`` simulation phases.
     """
     def build():
-        return Machine(cfg, [t.ops for t in trace.threads],
-                       max_cycles=max_cycles, obs=obs)
+        return Machine(cfg, trace.threads, max_cycles=max_cycles, obs=obs)
 
     if profiler is None:
         result = build().run()

@@ -137,8 +137,7 @@ def simulate_with_pipeview(
     bus = EventBus()
     bus.attach(view)
     trace = trace_for(program, num_threads)
-    machine = Machine(cfg, [t.ops for t in trace.threads],
-                      max_cycles=max_cycles, obs=bus)
+    machine = Machine(cfg, trace.threads, max_cycles=max_cycles, obs=bus)
     result = machine.run()
     result.program_name = trace.program_name
     return view, result

@@ -76,7 +76,7 @@ def set_default_profiler(profiler: Optional[PhaseProfiler]) -> None:
 def trace_for(program: Program, num_threads: int,
               max_ops: int = 20_000_000,
               profiler: Optional[PhaseProfiler] = None,
-              func_engine: str = "reference") -> ProgramTrace:
+              func_engine: str = "fast") -> ProgramTrace:
     """Functional trace of ``program`` with ``num_threads`` (memoised).
 
     The cache key is the program's *content digest*
@@ -85,11 +85,11 @@ def trace_for(program: Program, num_threads: int,
     cache, and -- when :func:`set_trace_cache_dir` enabled one -- traces
     are also served from / stored to the on-disk cache.
 
-    ``func_engine`` picks the trace-generation engine: ``"reference"``
-    (the oracle interpreter) or ``"fast"`` (the block-compiled engine,
-    verified bit-identical).  The engine does not enter the cache key:
-    both produce byte-identical traces, so a trace generated by either
-    serves requests for both.
+    ``func_engine`` picks the trace-generation engine: ``"fast"`` (the
+    block-compiled engine, the default) or ``"reference"`` (the oracle
+    interpreter it is verified bit-identical against).  The engine does
+    not enter the cache key: both produce byte-identical traces, so a
+    trace generated by either serves requests for both.
     """
     if profiler is None:
         profiler = _default_profiler
@@ -141,14 +141,14 @@ def simulate(program: Program, cfg: MachineConfig, num_threads: int = 1,
              trace: Optional[ProgramTrace] = None,
              obs: Optional[EventBus] = None,
              profiler: Optional[PhaseProfiler] = None,
-             func_engine: str = "reference") -> RunResult:
+             func_engine: str = "fast") -> RunResult:
     """Run ``program`` on machine ``cfg`` and return timing results.
 
     ``obs`` attaches an observability event bus (see :mod:`repro.obs`);
     ``profiler`` records host-side wall time per simulation phase.
     Neither affects simulated cycle counts.  ``func_engine`` picks the
-    trace-generation engine (``"reference"`` or ``"fast"``, verified
-    bit-identical).
+    trace-generation engine (``"fast"``, the default, or
+    ``"reference"``; verified bit-identical).
     """
     if profiler is None:
         profiler = _default_profiler
@@ -179,7 +179,7 @@ def simulate_traced(program: Program, cfg: MachineConfig,
                     max_events: int = 1_000_000,
                     kinds: Optional[frozenset] = None,
                     start_cycle: int = 0,
-                    func_engine: str = "reference") -> TracedRun:
+                    func_engine: str = "fast") -> TracedRun:
     """Run with the full observability stack attached.
 
     Wires an :class:`EventLog` (for exporters), a :class:`MetricsSink`

@@ -1,8 +1,11 @@
 """Out-of-order superscalar scalar-unit (SU) timing model, with SMT.
 
 The SU is trace-driven: each hardware context replays one software
-thread's :class:`~repro.functional.trace.DynOp` stream.  The model
-implements, per cycle:
+thread's trace in its replay form
+(:class:`~repro.functional.trace.ReplayTrace`): the static fields of
+op *i* from its per-op record, the dynamic ones (branch outcome,
+``vltcfg`` immediate, memory address, vector length) from the replay
+form's lists at index *i*.  The model implements, per cycle:
 
 * **frontend** -- ``width`` instructions per cycle shared round-robin
   across SMT contexts; L1 I-cache modelling at line granularity; a
@@ -35,8 +38,8 @@ from __future__ import annotations
 import heapq
 from typing import List, Optional, TYPE_CHECKING
 
-from ..functional.trace import DynOp
-from ..isa.registers import NUM_REG_UIDS, uid_is_scalar
+from ..functional.trace import ReplayTrace
+from ..isa.registers import NUM_REG_UIDS, V_BASE, uid_is_scalar
 from ..obs.events import COMMIT, Event, ISSUE, STALL, StallReason
 from .branch import BimodalPredictor
 from .caches import Cache
@@ -54,15 +57,23 @@ INSTR_BYTES = 4
 
 
 class SEntry:
-    """An in-flight scalar-unit instruction (ROB entry)."""
+    """An in-flight scalar-unit instruction (ROB entry).
 
-    __slots__ = ("dynop", "ctx", "seq", "unmet", "ready_time", "issued",
-                 "done_time", "subscribers", "mispredicted", "is_vector")
+    ``dynop`` is the op's entry in its context's per-op list (a shared
+    per-pc record, or the trace's DynOp when events are on); ``idx`` is
+    its trace index, which locates its dynamic fields.
+    """
 
-    def __init__(self, dynop: DynOp, ctx: "Context", seq: int, cycle: int):
+    __slots__ = ("dynop", "ctx", "seq", "idx", "unmet", "ready_time",
+                 "issued", "done_time", "subscribers", "mispredicted",
+                 "is_vector")
+
+    def __init__(self, dynop, ctx: "Context", seq: int, cycle: int,
+                 idx: int):
         self.dynop = dynop
         self.ctx = ctx
         self.seq = seq
+        self.idx = idx
         self.unmet = 0
         self.ready_time = cycle + 1
         self.issued = False
@@ -106,17 +117,24 @@ class SEntry:
 class Context:
     """One SMT hardware context replaying one software thread."""
 
-    __slots__ = ("su", "ctx_idx", "tid", "trace", "fetch_idx", "rob",
-                 "last_writer", "fetch_stalled_until", "blocked_on_branch",
-                 "waiting_barrier", "halted", "finish_time", "last_iline",
-                 "window_limit")
+    __slots__ = ("su", "ctx_idx", "tid", "replay", "trace", "vreg_pcs",
+                 "fetch_idx", "rob", "last_writer", "fetch_stalled_until",
+                 "blocked_on_branch", "waiting_barrier", "halted",
+                 "finish_time", "last_iline", "window_limit")
 
     def __init__(self, su: "ScalarUnit", ctx_idx: int, tid: int,
-                 trace: List[DynOp], window_limit: int):
+                 replay: ReplayTrace, ops: list, window_limit: int):
         self.su = su
         self.ctx_idx = ctx_idx
         self.tid = tid
-        self.trace = trace
+        self.replay = replay
+        #: the per-op list: op i's static fields (and event payload)
+        self.trace = ops
+        #: pcs whose op writes a vector register (it holds a physical
+        #: vector register in the VCL), decoded once per pc
+        self.vreg_pcs = frozenset(
+            r.pc for r in replay.records
+            if any(u >= V_BASE for u in r.writes))
         self.fetch_idx = 0
         self.rob: List[SEntry] = []          # used as a FIFO (pop from front)
         self.last_writer: List = [0] * NUM_REG_UIDS
@@ -171,8 +189,10 @@ class ScalarUnit:
 
     # -- setup ---------------------------------------------------------------
 
-    def add_thread(self, tid: int, trace: List[DynOp]) -> Context:
-        ctx = Context(self, len(self.contexts), tid, trace, self.cfg.window)
+    def add_thread(self, tid: int, replay: ReplayTrace,
+                   ops: list) -> Context:
+        ctx = Context(self, len(self.contexts), tid, replay, ops,
+                      self.cfg.window)
         self.contexts.append(ctx)
         return ctx
 
@@ -263,7 +283,7 @@ class ScalarUnit:
         entry.issued = True
         self.stats.issued += 1
         if spec.is_load:
-            addr = int(dynop.addrs[0])
+            addr = entry.ctx.replay.addrs[entry.idx]
             self.stats.l1d_accesses += 1
             if self.l1d.access(addr):
                 done = cycle + spec.latency + self.cfg.l1_hit_latency
@@ -272,7 +292,7 @@ class ScalarUnit:
                 done = self.l2.access(addr, cycle + spec.latency
                                       + self.cfg.l1_hit_latency)
         elif spec.is_store:
-            addr = int(dynop.addrs[0])
+            addr = entry.ctx.replay.addrs[entry.idx]
             self.stats.l1d_accesses += 1
             if not self.l1d.access(addr):
                 self.stats.l1d_misses += 1
@@ -320,7 +340,8 @@ class ScalarUnit:
 
     def _fetch_ctx(self, ctx: Context, cycle: int, budget: int) -> int:
         while budget and ctx.can_fetch(cycle):
-            dynop = ctx.trace[ctx.fetch_idx]
+            i = ctx.fetch_idx
+            dynop = ctx.trace[i]
             spec = dynop.spec
 
             # I-cache at line granularity.
@@ -371,7 +392,8 @@ class ScalarUnit:
                 continue
             if spec.is_vltcfg:
                 vu = self.machine.vu
-                n = dynop.imm or self.machine.num_threads
+                imm = ctx.replay.imms[i]
+                n = imm if imm > 0 else self.machine.num_threads
                 if vu is None or n == len(vu.partitions):
                     # no change: a cheap configuration check
                     ctx.fetch_idx += 1
@@ -396,21 +418,26 @@ class ScalarUnit:
                     self.stats.dispatch_stall_viq += 1
                     return budget
                 entry, scalar_ready, pending = self._dispatch_vector(
-                    ctx, dynop, cycle)
-                vu.dispatch(ctx.tid, entry, cycle, scalar_ready, pending)
+                    ctx, dynop, cycle, i)
+                vu.dispatch(ctx.tid, entry, cycle, scalar_ready, pending,
+                            ctx.replay.vls[i],
+                            ctx.replay.vaddrs(i) if spec.pool == "vmem"
+                            else None,
+                            dynop.pc in ctx.vreg_pcs)
                 ctx.fetch_idx += 1
                 budget -= 1
                 self.stats.fetched += 1
                 continue
 
-            entry = self._dispatch(ctx, dynop, cycle)
+            entry = self._dispatch(ctx, dynop, cycle, i)
             ctx.fetch_idx += 1
             budget -= 1
             self.stats.fetched += 1
 
             if spec.is_branch and not spec.is_uncond:
                 self.stats.branch_lookups += 1
-                correct = self.bpred.predict_and_update(dynop.pc, dynop.taken)
+                correct = self.bpred.predict_and_update(
+                    dynop.pc, ctx.replay.takens[i])
                 if not correct:
                     self.stats.branch_mispredicts += 1
                     entry.mispredicted = True
@@ -418,10 +445,11 @@ class ScalarUnit:
                     return budget
         return budget
 
-    def _dispatch(self, ctx: Context, dynop: DynOp, cycle: int) -> SEntry:
+    def _dispatch(self, ctx: Context, dynop, cycle: int,
+                  idx: int) -> SEntry:
         """Allocate a ROB entry for a scalar op and wire true dependences."""
         self._seq += 1
-        entry = SEntry(dynop, ctx, self._seq, cycle)
+        entry = SEntry(dynop, ctx, self._seq, cycle, idx)
         lw = ctx.last_writer
         unmet = 0
         ready = cycle + 1
@@ -443,7 +471,7 @@ class ScalarUnit:
         self.rob_occupancy += 1
         return entry
 
-    def _dispatch_vector(self, ctx: Context, dynop: DynOp, cycle: int):
+    def _dispatch_vector(self, ctx: Context, dynop, cycle: int, idx: int):
         """Allocate a ROB entry for a vector op.
 
         Returns ``(entry, scalar_ready, pending)``: the known lower bound
@@ -454,7 +482,7 @@ class ScalarUnit:
         scalar result, in which case it completes via the VCL callback.
         """
         self._seq += 1
-        entry = SEntry(dynop, ctx, self._seq, cycle)
+        entry = SEntry(dynop, ctx, self._seq, cycle, idx)
         lw = ctx.last_writer
         scalar_ready = cycle + 1
         pending: List[SEntry] = []

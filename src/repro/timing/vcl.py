@@ -41,7 +41,6 @@ from typing import List, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from ..functional.trace import DynOp
 from ..isa.registers import V_BASE, uid_is_scalar
 from ..obs.events import (Event, EventBus, NULL_BUS, STALL, VISSUE,
                           StallReason)
@@ -55,13 +54,18 @@ _NUM_VSIDE = 33
 
 
 class VEntry:
-    """An in-flight vector instruction inside the VCL."""
+    """An in-flight vector instruction inside the VCL.
+
+    ``dynop`` supplies the op's static fields (and is the event
+    payload); the dispatching SU hands over its dynamic ones.
+    """
 
     __slots__ = ("dynop", "seq", "sentry", "scalar_unmet", "vec_unmet",
-                 "ready", "subscribers", "issued", "transfer", "writes_vreg")
+                 "ready", "subscribers", "issued", "transfer", "writes_vreg",
+                 "vl", "addrs")
 
-    def __init__(self, dynop: DynOp, seq: int, sentry, ready: int,
-                 transfer: int):
+    def __init__(self, dynop, seq: int, sentry, ready: int, transfer: int,
+                 vl: int, addrs: Optional[np.ndarray], writes_vreg: bool):
         self.dynop = dynop
         self.seq = seq
         self.sentry = sentry
@@ -72,7 +76,10 @@ class VEntry:
         self.issued = False
         self.transfer = transfer
         #: holds a physical vector register from dispatch to completion
-        self.writes_vreg = any(u >= V_BASE for u in dynop.writes)
+        self.writes_vreg = writes_vreg
+        self.vl = vl
+        #: element addresses of a vector memory op (None otherwise)
+        self.addrs = addrs
 
     def notify(self, time: int) -> None:
         """A scalar producer (SEntry) announced; add the SU->VCL hop."""
@@ -286,14 +293,21 @@ class VectorUnit:
         return not part.in_flight(cycle) and part.last_completion <= cycle
 
     def dispatch(self, tid: int, sentry, cycle: int,
-                 scalar_ready: int, pending: list) -> VEntry:
-        """Accept a vector instruction from the SU at dispatch time."""
+                 scalar_ready: int, pending: list, vl: int,
+                 addrs: Optional[np.ndarray], writes_vreg: bool) -> VEntry:
+        """Accept a vector instruction from the SU at dispatch time.
+
+        ``vl`` and ``addrs`` are the op's dynamic vector length and
+        element addresses; ``writes_vreg`` says whether it writes a
+        vector register.
+        """
         part = self.partitions[tid]
         transfer = self.cfg.su_transfer
         self._seq += 1
         arrival = cycle + transfer
         ventry = VEntry(sentry.dynop, self._seq, sentry,
-                        max(arrival, scalar_ready + transfer), transfer)
+                        max(arrival, scalar_ready + transfer), transfer,
+                        vl, addrs, writes_vreg)
         ventry.scalar_unmet = len(pending)
         for producer in pending:
             producer.subscribe(ventry)
@@ -393,7 +407,7 @@ class VectorUnit:
         is_mem = spec.pool == "vmem"
         fu = (part.ports if is_mem else part.fus)[fu_idx]
         k = part.k
-        vl = dynop.vl
+        vl = ventry.vl
         occ = max(1, -(-vl // k))
         ventry.issued = True
         self.stats.issued += 1
@@ -410,7 +424,7 @@ class VectorUnit:
         fu.vl = vl
 
         if spec.pool == "vmem":
-            addrs = dynop.addrs
+            addrs = ventry.addrs
             n = 0 if addrs is None else int(addrs.size)
             unit_stride = not (spec.mem_stride or spec.mem_indexed)
             completion = self.l2.vector_access(

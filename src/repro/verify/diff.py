@@ -1,14 +1,16 @@
 """Functional/timing differential checker.
 
 The timing simulator is trace-driven: it never computes data values, it
-only replays :class:`~repro.functional.trace.DynOp` streams against the
+only replays per-thread functional traces against the
 microarchitecture model.  That split is what this checker exploits --
 for any (program, config, threads) run it independently re-derives what
 the timing machine *should* have replayed and diffs four surfaces:
 
-1. **trace** -- a fresh functional execution against the (possibly
-   cached) trace the timing machine consumes: catches stale or corrupt
-   cache entries and trace (de)serialization bugs, op by op;
+1. **trace** -- a fresh reference execution against the trace the
+   timing machine consumes (generated by the engine under test, or
+   supplied by the caller, e.g. a cached one): catches engine
+   disagreement, stale or corrupt cache entries and trace
+   (de)serialization bugs, op by op;
 2. **state / memory** -- two independent functional executions must
    produce bit-identical final registers, vector state, and memory:
    catches executor nondeterminism;
@@ -42,7 +44,6 @@ from ..isa.program import Program
 from ..obs.events import COMMIT, EventBus, LANE_ISSUE, VISSUE
 from ..timing.config import MachineConfig
 from ..timing.machine import run_traces
-from ..timing.run import trace_for
 from ..timing.stats import RunResult
 
 
@@ -294,36 +295,32 @@ def differential_check(program: Program, cfg: MachineConfig,
                        num_threads: int = 1,
                        max_cycles: int = 50_000_000,
                        trace: Optional[ProgramTrace] = None,
-                       func_engine: str = "reference") -> DiffReport:
+                       func_engine: str = "fast") -> DiffReport:
     """Cross-check one timing run against the functional executor.
 
-    ``trace`` overrides the trace under test (defaults to the cached
-    :func:`~repro.timing.run.trace_for` path, i.e. exactly what a
-    normal ``simulate`` call would replay).  ``func_engine="fast"``
-    puts the fast functional engine under test instead: the trace under
-    test is regenerated by :class:`FastExecutor` (bypassing the trace
-    memo, so the fast engine really runs) and the second functional
-    execution of the state diff also uses it -- trace, final state,
-    and memory are then all fast-vs-reference comparisons.  Returns a
-    :class:`DiffReport`; ``report.ok`` means full agreement.
+    ``func_engine`` names the functional engine under test (the
+    reference interpreter or :class:`FastExecutor`).  It generates the
+    trace under test -- always afresh, bypassing the trace memo and the
+    disk cache, so the named engine really runs -- and the second
+    functional execution of the state diff.  With ``"fast"`` the trace,
+    final-state and memory diffs are fast-vs-reference comparisons.
+    ``trace`` overrides the trace under test (e.g. a cached one).
+    Returns a :class:`DiffReport`; ``report.ok`` means full agreement.
     """
     validate_func_engine(func_engine)
-    fast = func_engine == "fast"
+    engine = FastExecutor if func_engine == "fast" else Executor
     report = DiffReport(program_name=program.name, config_name=cfg.name,
                         num_threads=num_threads)
     if trace is not None:
         tut = trace
-    elif fast:
-        tut = FastExecutor(program, num_threads=num_threads,
-                           record_trace=True).run()
     else:
-        tut = trace_for(program, num_threads)
+        tut = engine(program, num_threads=num_threads,
+                     record_trace=True).run()
 
     # 1/2: independent functional executions -- trace + state agreement
     ex1 = Executor(program, num_threads=num_threads, record_trace=True)
     ref_trace = ex1.run()
-    cls2 = FastExecutor if fast else Executor
-    ex2 = cls2(program, num_threads=num_threads, record_trace=False)
+    ex2 = engine(program, num_threads=num_threads, record_trace=False)
     ex2.run()
     _diff_traces(ref_trace, tut, report)
     _diff_final_state(ex1, ex2, report)
@@ -343,7 +340,7 @@ def differential_check(program: Program, cfg: MachineConfig,
             add("invariant", t, fin,
                 f"thread finish time {fin} exceeds total cycles "
                 f"{result.cycles}")
-    per_thread_barriers = [sum(1 for op in tt.ops if op.spec.is_barrier)
+    per_thread_barriers = [tt.opcode_histogram().get("barrier", 0)
                            for tt in tut.threads]
     if len(set(per_thread_barriers)) > 1:
         add("invariant", -1, 0,

@@ -76,7 +76,7 @@ class TestEngineSelection:
     def test_simulate_accepts_fast(self):
         prog = get_workload("mpenc").program()
         clear_trace_cache()
-        r_ref = simulate(prog, BASE)
+        r_ref = simulate(prog, BASE, func_engine="reference")
         clear_trace_cache()
         r_fast = simulate(prog, BASE, func_engine="fast")
         assert r_ref == r_fast

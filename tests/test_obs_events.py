@@ -135,7 +135,7 @@ class TestDisabledModeIsInert:
     def test_plain_run_attaches_nothing(self):
         prog = assemble(_VEC_SRC)
         trace = trace_for(prog, 1)
-        m = Machine(BASE, [t.ops for t in trace.threads])
+        m = Machine(BASE, trace.threads)
         assert m.obs.enabled is False
         assert m.obs.sinks == ()
         m.run()

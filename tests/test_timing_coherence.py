@@ -12,7 +12,7 @@ from repro.timing.run import trace_for
 def machine_for(src, cfg=BASE, nt=1):
     prog = assemble(src)
     tr = trace_for(prog, nt)
-    return Machine(cfg, [t.ops for t in tr.threads])
+    return Machine(cfg, tr.threads)
 
 
 class TestVectorStoreInvalidatesL1:

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.functional import Executor
+from repro.functional import Executor, FastExecutor, ThreadTrace
+from repro.functional.trace import trace_from_bytes, trace_to_bytes
 from repro.isa import assemble
+from repro.workloads import get_workload
 
 
 def _trace(src, nt=1):
@@ -38,6 +40,33 @@ class TestHistograms:
         hist = t.merged_opcode_histogram()
         assert hist["add"] == 4
         assert hist["barrier"] == 4
+
+
+def _summaries(t):
+    return (t.counts(), t.vector_lengths().tolist(), t.opcode_histogram(),
+            t.pool_histogram())
+
+
+class TestColumnarSummaries:
+    """A columnar trace summarises itself from its columns: the values
+    equal the DynOp-based ones, and no DynOp is built."""
+
+    @pytest.mark.parametrize("app,scalar_only,threads", [
+        ("mpenc", False, 4), ("radix", True, 8)])
+    def test_match_dynop_values(self, app, scalar_only, threads):
+        prog = get_workload(app).program(scalar_only=scalar_only)
+        trace = FastExecutor(prog, num_threads=threads).run()
+        # DynOp-only copies of the same threads (no columns attached)
+        copies = [ThreadTrace(t.tid, t.ops) for t in
+                  trace_from_bytes(trace_to_bytes(trace)).threads]
+        for t, ops_only in zip(trace.threads, copies):
+            assert ops_only._cols is None
+            assert _summaries(t) == _summaries(ops_only)
+            assert list(t.opcode_histogram()) == \
+                list(ops_only.opcode_histogram())
+        assert trace.merged_counts()["total"] == trace.total_ops() == \
+            sum(len(c) for c in copies)
+        assert all(t._ops is None for t in trace.threads)
 
 
 class TestCliVerbs:

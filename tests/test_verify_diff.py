@@ -88,6 +88,41 @@ class TestAgreement:
         assert report.ok, report.render()
 
 
+class TestEngineUnderTest:
+    """The checker generates the trace under test with the engine it
+    names, whatever the trace memo already holds."""
+
+    @staticmethod
+    def _count_engines(monkeypatch):
+        made = {"reference": 0, "fast": 0}
+        for name, key in (("Executor", "reference"),
+                          ("FastExecutor", "fast")):
+            real = getattr(D, name)
+
+            def spy(*args, _real=real, _key=key, **kwargs):
+                made[_key] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(D, name, spy)
+        return made
+
+    @pytest.mark.parametrize("engine,expected", [
+        ("reference", {"reference": 3, "fast": 0}),
+        ("fast", {"reference": 1, "fast": 2})])
+    def test_named_engine_runs_despite_memo(self, monkeypatch, engine,
+                                            expected):
+        from repro.timing.run import trace_for
+        prog = _prog()
+        trace_for(prog, 1, func_engine="fast")   # memo holds a fast trace
+        made = self._count_engines(monkeypatch)
+        report = differential_check(prog, get_config("base"),
+                                    func_engine=engine)
+        assert report.ok, report.render()
+        # the trace under test, the reference trace, the state diff's
+        # second execution
+        assert made == expected
+
+
 class TestInjectedBug:
     def test_dropped_commits_are_caught(self, monkeypatch):
         _inject_dropped_mul_commits(monkeypatch)
