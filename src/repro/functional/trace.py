@@ -18,8 +18,10 @@ A thread's trace has up to three equivalent forms:
   read;
 * the replay form (:class:`ReplayTrace`) the timing units read: one
   shared :class:`StaticOp` per distinct pc, decoded once from the
-  columns with a check (:func:`decode_static`), plus plain lists of the
-  dynamic fields.
+  columns with a check (:func:`decode_static`), plain lists of the
+  dynamic fields, and the per-trace tables every machine configuration
+  shares (each vector op's register split, each vector memory op's
+  distinct cache lines).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..isa.opcodes import OpSpec, spec
-from ..isa.registers import NUM_REG_UIDS
+from ..isa.registers import NUM_REG_UIDS, V_BASE, uid_is_scalar
 
 #: the per-thread parallel arrays of the columnar trace layout, in
 #: canonical (serialization) order
@@ -99,12 +101,70 @@ class StaticOp:
         return f"<StaticOp pc={self.pc} {self.op}>"
 
 
+class VectorRegs:
+    """How one vector op's register uids split between the scalar unit
+    and the vector unit, decoded once per pc.
+
+    ``sreads``/``swrites`` are the scalar-side uids (the SU wires them);
+    ``vreads``/``vwrites`` are the vector-side ones as offsets from
+    ``V_BASE`` (the VCL wires them).  ``writes_vreg`` says whether the
+    op holds a physical vector register from dispatch to completion,
+    and ``is_mem`` whether it is a vector memory op.
+    """
+
+    __slots__ = ("sreads", "swrites", "vreads", "vwrites", "writes_vreg",
+                 "is_mem")
+
+    def __init__(self, rec: StaticOp):
+        self.sreads = tuple(u for u in rec.reads if uid_is_scalar(u))
+        self.swrites = tuple(u for u in rec.writes if uid_is_scalar(u))
+        self.vreads = tuple(u - V_BASE for u in rec.reads
+                            if not uid_is_scalar(u))
+        self.vwrites = tuple(u - V_BASE for u in rec.writes
+                             if not uid_is_scalar(u))
+        self.writes_vreg = any(u >= V_BASE for u in rec.writes)
+        self.is_mem = rec.spec.pool == "vmem"
+
+
 def _gather(records: list, index: np.ndarray) -> list:
     """``[records[k] for k in index]``, as one object-array gather."""
     table = np.empty(len(records), dtype=object)
     for k, rec in enumerate(records):
         table[k] = rec
     return table[index].tolist()
+
+
+def _distinct_lines(a_off: np.ndarray, a_flat: np.ndarray,
+                    ops: np.ndarray, line: int) -> list:
+    """The sorted distinct line numbers of each op in ``ops`` (trace
+    indices), in one vectorised pass.
+
+    A run of consecutive lines is stored as a ``range`` and any other
+    set as a tuple, and equal sets share one object, so the table holds
+    no int object per line of a unit-stride access and one object per
+    distinct footprint.
+    """
+    starts = a_off[ops]
+    lens = a_off[ops + 1] - starts
+    seg = np.repeat(np.arange(ops.size), lens)
+    lines = a_flat[np.repeat(starts - np.cumsum(lens) + lens, lens)
+                   + np.arange(seg.size)] // line
+    lines = lines[np.lexsort((lines, seg))]   # sorted within each op
+    keep = np.ones(lines.size, dtype=bool)
+    keep[1:] = (lines[1:] != lines[:-1]) | (seg[1:] != seg[:-1])
+    counts = np.bincount(seg[keep], minlength=ops.size).tolist()
+    uniq = lines[keep].tolist()
+    table = []
+    shared: dict = {}
+    o = 0
+    for c in counts:
+        if c and uniq[o + c - 1] - uniq[o] == c - 1:
+            op_lines = range(uniq[o], uniq[o] + c)
+        else:
+            op_lines = tuple(uniq[o:o + c])
+        table.append(shared.setdefault(op_lines, op_lines))
+        o += c
+    return table
 
 
 class ReplayTrace:
@@ -119,12 +179,18 @@ class ReplayTrace:
     * ``addrs`` -- the first element address of each memory op (0 for
       others); a scalar memory op has exactly one.
 
+    Per-trace tables, shared by every configuration that replays it:
+
+    * ``vregs`` -- a :class:`VectorRegs` per vector op's pc;
+    * :meth:`vlines` -- each vector memory op's sorted distinct cache
+      lines, in trace order, built on first use for each line size.
+
     A vector memory op's addresses are sliced from the flat address
     column by :meth:`vaddrs` when the op is dispatched.
     """
 
     __slots__ = ("records", "index", "ops", "vls", "takens", "imms",
-                 "addrs", "_a_off", "_a_flat")
+                 "addrs", "vregs", "_a_off", "_a_flat", "_lines")
 
     def __init__(self, cols: Dict[str, object],
                  static: Tuple[List[StaticOp], np.ndarray]):
@@ -143,8 +209,11 @@ class ReplayTrace:
         first = np.zeros(starts.size, dtype=np.int64)
         first[has] = a_flat[starts[has]]
         self.addrs: List[int] = first.tolist()
+        self.vregs: Dict[int, VectorRegs] = {
+            r.pc: VectorRegs(r) for r in records if r.spec.is_vector}
         self._a_off = a_off
         self._a_flat = a_flat
+        self._lines: Dict[int, list] = {}
 
     def per_op(self, table: list) -> list:
         """Spread a per-record table (one value per :attr:`records`
@@ -154,6 +223,20 @@ class ReplayTrace:
     def vaddrs(self, i: int) -> np.ndarray:
         """The element addresses of op ``i`` (a read-only view)."""
         return self._a_flat[self._a_off[i]:self._a_off[i + 1]]
+
+    def vlines(self, line: int) -> list:
+        """Item *k* is the sorted distinct ``line``-byte line numbers
+        (a ``range`` or a tuple) the trace's *k*-th vector memory op
+        touches.  Indexing by that ordinal keeps the table one pointer
+        per vector memory op."""
+        table = self._lines.get(line)
+        if table is None:
+            is_vmem = np.array([r.spec.pool == "vmem"
+                                for r in self.records], dtype=bool)
+            ops = np.flatnonzero(is_vmem[self.index])
+            table = self._lines[line] = _distinct_lines(
+                self._a_off, self._a_flat, ops, line)
+        return table
 
 
 class ThreadTrace:

@@ -21,7 +21,7 @@ Usage::
     vlt-repro profile mxm --threads 4               # host-side phase
                                                     # profile
     vlt-repro determinism                           # tracing on/off
-                                                    # cycle-identity check
+                                                    # result-identity check
     vlt-repro cache stats --cache-dir ~/.vlt-cache  # cache census
     vlt-repro cache clear --cache-dir ~/.vlt-cache
     vlt-repro lint                                  # static verifier over
@@ -224,13 +224,15 @@ def run_profile(app: str, config: str = "base", threads: int = 1,
 
 def check_determinism(app: str = "mxm", config: str = "base",
                       threads: int = 1) -> str:
-    """Two runs of ``app`` -- tracing off and on, fresh functional traces
-    each time -- must produce identical cycle counts.  Raises on drift."""
+    """Four runs of ``app`` -- tracing off and on, fresh functional traces
+    each time -- must produce identical :class:`RunResult`s (the
+    observability ``metrics`` aside).  Raises on drift."""
+    import dataclasses
     from ..timing import clear_trace_cache, simulate, simulate_traced
     from ..timing.config import get_config
     from ..workloads import get_workload
     cfg = get_config(config)
-    cycles = []
+    runs = []
     for label in ("off-1", "off-2", "on-1", "on-2"):
         clear_trace_cache()
         prog = get_workload(app).program()
@@ -239,16 +241,16 @@ def check_determinism(app: str = "mxm", config: str = "base",
         else:
             r = simulate_traced(prog, cfg, num_threads=threads,
                                 max_events=100_000).result
-        cycles.append((label, r.cycles))
-    values = {c for _, c in cycles}
-    detail = ", ".join(f"{lbl}={c}" for lbl, c in cycles)
-    if len(values) != 1:
+        runs.append((label, dataclasses.replace(r, metrics=None)))
+    detail = ", ".join(f"{lbl}={r.cycles}" for lbl, r in runs)
+    drift = [lbl for lbl, r in runs[1:] if r != runs[0][1]]
+    if drift:
         raise AssertionError(
-            f"non-deterministic cycle counts for {app} on {config}: "
-            f"{detail}")
+            f"non-deterministic results for {app} on {config}: "
+            f"{', '.join(drift)} differ from {runs[0][0]} ({detail})")
     return (f"determinism OK: {app} on {config} ({threads} threads) -> "
-            f"{cycles[0][1]} cycles across tracing on/off re-runs "
-            f"({detail})")
+            f"{runs[0][1].cycles} cycles and identical results across "
+            f"tracing on/off re-runs ({detail})")
 
 
 def _example_programs():

@@ -57,8 +57,9 @@ class Cache:
 
     def access(self, addr: int) -> bool:
         """Access one address; returns True on hit.  Allocates on miss."""
-        set_idx, tag = self._locate(addr)
-        ways = self._sets[set_idx]
+        line = addr // self.line_bytes
+        tag = line // self.num_sets
+        ways = self._sets[line % self.num_sets]
         self.stats.accesses += 1
         try:
             pos = ways.index(tag)
@@ -80,10 +81,6 @@ class Cache:
         """Check residency without updating LRU or stats."""
         set_idx, tag = self._locate(addr)
         return tag in self._sets[set_idx]
-
-    def line_of(self, addr: int) -> int:
-        """Line number containing ``addr`` (for coalescing logic)."""
-        return addr // self.line_bytes
 
     def invalidate(self, addr: int) -> bool:
         """Drop the line containing ``addr`` if present (coherence).

@@ -68,43 +68,54 @@ class BankedL2:
     # -- vector ------------------------------------------------------------------
 
     def vector_access(self, addrs: np.ndarray, now: int,
-                      addrs_per_cycle: int, unit_stride: bool) -> int:
+                      addrs_per_cycle: int, unit_stride: bool,
+                      lines=None) -> int:
         """Service a vector memory instruction's element addresses.
 
         ``addrs_per_cycle`` is the number of addresses the issuing
         partition generates per cycle (lanes in the partition, per port).
-        Returns the cycle at which the *last* element completes.
+        ``lines`` is the sorted distinct line numbers of ``addrs`` when
+        the caller has them (the replay form decodes them once per
+        trace); a unit-stride access is served from them.  Returns the
+        cycle at which the *last* element completes.
         """
         cfg = self.cfg
         n = int(addrs.size)
         if n == 0:
             return now + cfg.hit_latency
-        self.stats.vector_elements += n
+        stats = self.stats
+        stats.vector_elements += n
 
         line = cfg.line
         if unit_stride:
             # Coalesce: one bank transaction per distinct line; the whole
             # group of elements in a line completes with that transaction.
-            lines = np.unique(addrs // line)
+            if lines is None:
+                lines = np.unique(addrs // line).tolist()
             elems_per_line = max(1, line // 8)
-            issue_times = now + (np.arange(lines.size) * elems_per_line
-                                 ) // addrs_per_cycle
-            done = now
+            banks, busy = cfg.banks, cfg.bank_busy
+            hit_lat, miss_lat = cfg.hit_latency, cfg.miss_latency
+            bank_free = self.bank_free
+            tags_access = self.tags.access
             bus = self.bus
-            for i, ln in enumerate(lines):
-                t = int(issue_times[i])
-                bank = int(ln) % cfg.banks
-                start = max(t, self.bank_free[bank])
-                self.bank_free[bank] = start + cfg.bank_busy
-                self.stats.bank_conflict_cycles += start - t
-                if start > t and bus.enabled:
-                    bus.emit(Event(t, BANK_CONFLICT, f"L2.bank{bank}",
-                                   dur=start - t, arg=bank))
-                hit = self.tags.access(int(ln) * line)
-                fin = start + (cfg.hit_latency if hit else cfg.miss_latency)
+            done = now
+            for j, ln in enumerate(lines):
+                t = now + (j * elems_per_line) // addrs_per_cycle
+                bank = ln % banks
+                start = bank_free[bank]
+                if start > t:
+                    stats.bank_conflict_cycles += start - t
+                    if bus.enabled:
+                        bus.emit(Event(t, BANK_CONFLICT, f"L2.bank{bank}",
+                                       dur=start - t, arg=bank))
+                else:
+                    start = t
+                bank_free[bank] = start + busy
+                fin = start + (hit_lat if tags_access(ln * line)
+                               else miss_lat)
                 if fin > done:
                     done = fin
-            self.stats.vector_line_txns += int(lines.size)
+            stats.vector_line_txns += len(lines)
             return done
 
         # Strided / indexed: every element is its own bank transaction.

@@ -127,8 +127,8 @@ class Machine:
                 self.vu = VectorUnit(
                     cfg.vu, self.l2, cfg.lane_partitions(self.num_threads),
                     bus=self.obs,
-                    invalidate=lambda addrs: self.l1d_invalidate_lines(
-                        addrs, line))
+                    invalidate=lambda lines: self.l1d_invalidate_lines(
+                        lines, line))
             for tid, (u, _ctx) in enumerate(cfg.placement(self.num_threads)):
                 ctx = self.sus[u].add_thread(tid, replays[tid], ops[tid])
                 self._threads[tid] = ("su", self.sus[u], ctx)
@@ -175,18 +175,14 @@ class Machine:
             if su is not except_su:
                 su.l1d.invalidate(addr)
 
-    def l1d_invalidate_lines(self, addrs, line: int) -> None:
-        """Vector-store coherence: invalidate every touched line in all
-        SU L1Ds (vector stores write the L2 directly)."""
-        if not self.sus:
-            return
-        seen = set()
-        for a in addrs:
-            ln = int(a) // line
-            if ln not in seen:
-                seen.add(ln)
-                for su in self.sus:
-                    su.l1d.invalidate(ln * line)
+    def l1d_invalidate_lines(self, lines, line: int) -> None:
+        """Vector-store coherence: invalidate every touched line (the
+        distinct ``line``-byte line numbers ``lines``) in all SU L1Ds
+        (vector stores write the L2 directly)."""
+        for su in self.sus:
+            invalidate = su.l1d.invalidate
+            for ln in lines:
+                invalidate(ln * line)
 
     def vltcfg_request(self, tid: int, n: int, cycle: int) -> None:
         """Dynamic VLT reconfiguration (``vltcfg n``; Section 3.3).
@@ -218,29 +214,36 @@ class Machine:
         result assembly.
         """
         cycle = 0
-        sus = self.sus
+        # a unit without a context (a lane-core run's SUs) never changes
+        sus = [su for su in self.sus if su.contexts]
         vu = self.vu
         cores = self.lane_cores
         obs = self.obs
         obs_on = obs.enabled
+        # vu_busy: may the VU hold work?  After a VU step it stays True,
+        # and vu.busy is asked again only where the answer matters.  An
+        # idle VU stays idle until an SU dispatches to it, which moves
+        # its dispatch count, so then it is False without asking.
+        vu_busy = vu is not None
         while True:
             if obs_on:
                 obs.now = cycle
-            vu_busy = vu is not None and vu.busy(cycle)
+            if vu_busy:
+                vu_busy = vu.busy(cycle)
+                dispatched = vu.dispatched
             for su in sus:
                 su.step(cycle)
             if vu_busy:
                 vu.step(cycle)
-                # steps may have dispatched new vector work this cycle
-                vu_busy = vu.busy(cycle)
             elif vu is not None:
-                vu_busy = vu.busy(cycle)
+                vu_busy = vu.dispatched != dispatched
+                dispatched = vu.dispatched
             for core in cores:
                 core.step(cycle)
 
             if self._halted_count == self.num_threads:
-                drained = all(su.all_done or not su.contexts for su in sus)
-                if drained and not vu_busy:
+                if all(su.all_done for su in sus) and not (
+                        vu_busy and vu.busy(cycle)):
                     break
 
             nxt = cycle + 1
@@ -249,12 +252,12 @@ class Machine:
                 t = su.next_event(cycle)
                 if t < best:
                     best = t
-            if vu_busy:
-                best = nxt
             for core in cores:
                 t = core.next_event(cycle)
                 if t < best:
                     best = t
+            if best > nxt and vu_busy and vu.busy(cycle):
+                best = nxt
             if best > nxt and best < _FAR_FUTURE:
                 cycle = best
             elif best >= _FAR_FUTURE and self._halted_count < self.num_threads:

@@ -30,16 +30,22 @@ except when they produce a scalar result, in which case the consuming
 side waits for the VCL's completion callback.
 
 Wake-up is event-driven (producer-issue notifications and a ready-time
-heap), so per-cycle cost is O(issue width), not O(window).
+heap), so per-cycle cost is O(issue width), not O(window).  An op whose
+sources are ready next cycle skips the heap and goes straight to its
+issue queue at dispatch.  Each op is walked through one pass per stage:
+the frontend tests fetch gating once per context and cycle, then
+fetches and dispatches inline; the issue stage executes inline.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, TYPE_CHECKING
+from collections import deque
+from typing import Deque, List, Optional, TYPE_CHECKING
 
 from ..functional.trace import ReplayTrace
-from ..isa.registers import NUM_REG_UIDS, V_BASE, uid_is_scalar
+from ..isa.opcodes import OPCODES
+from ..isa.registers import NUM_REG_UIDS
 from ..obs.events import COMMIT, Event, ISSUE, STALL, StallReason
 from .branch import BimodalPredictor
 from .caches import Cache
@@ -55,6 +61,34 @@ CODE_BASE = 0x4000_0000
 #: Architectural instruction size in bytes (for I-cache line behaviour).
 INSTR_BYTES = 4
 
+#: the ``done_time`` of an entry that has not completed: later than any
+#: cycle, so one comparison tells whether the ROB head may commit
+_NOT_DONE = 1 << 62
+
+#: what the frontend does with an op (see :data:`FETCH_CLASS`); the
+#: first three are scalar ops that take a ROB entry
+_ARITH, _MEM, _BRANCH, _VECTOR, _LSYNC, _VLTCFG, _BARRIER, _HALT = range(8)
+
+
+def _fetch_class(spec) -> int:
+    if spec.is_barrier:
+        return _BARRIER
+    if spec.is_halt:
+        return _HALT
+    if spec.is_lsync:
+        return _LSYNC
+    if spec.is_vltcfg:
+        return _VLTCFG
+    if spec.is_vector:
+        return _VECTOR
+    if spec.is_branch and not spec.is_uncond:
+        return _BRANCH   # an arith-pool op the predictor sees
+    return _MEM if spec.pool == "mem" else _ARITH
+
+
+#: each opcode's fetch class, by mnemonic
+FETCH_CLASS = {name: _fetch_class(sp) for name, sp in OPCODES.items()}
+
 
 class SEntry:
     """An in-flight scalar-unit instruction (ROB entry).
@@ -65,22 +99,18 @@ class SEntry:
     """
 
     __slots__ = ("dynop", "ctx", "seq", "idx", "unmet", "ready_time",
-                 "issued", "done_time", "subscribers", "mispredicted",
-                 "is_vector")
+                 "done_time", "subscribers")
 
-    def __init__(self, dynop, ctx: "Context", seq: int, cycle: int,
-                 idx: int):
+    def __init__(self, dynop, ctx: "Context", seq: int, idx: int,
+                 ready_time: int):
         self.dynop = dynop
         self.ctx = ctx
         self.seq = seq
         self.idx = idx
         self.unmet = 0
-        self.ready_time = cycle + 1
-        self.issued = False
-        self.done_time: Optional[int] = None
+        self.ready_time = ready_time
+        self.done_time = _NOT_DONE
         self.subscribers: Optional[list] = None
-        self.mispredicted = False
-        self.is_vector = dynop.spec.is_vector
 
     def notify(self, time: int) -> None:
         """A producer announced its completion time."""
@@ -88,7 +118,8 @@ class SEntry:
             self.ready_time = time
         self.unmet -= 1
         if self.unmet == 0:
-            self.ctx.su.schedule_ready(self)
+            heapq.heappush(self.ctx.su._ready_heap,
+                           (self.ready_time, self.seq, self))
 
     def subscribe(self, consumer) -> None:
         if self.subscribers is None:
@@ -98,10 +129,10 @@ class SEntry:
 
     def announce(self, time: int) -> None:
         """Publish this entry's completion time to register consumers."""
-        ctx = self.ctx
+        lw = self.ctx.last_writer
         for uid in self.dynop.writes:
-            if ctx.last_writer[uid] is self:
-                ctx.last_writer[uid] = time
+            if lw[uid] is self:
+                lw[uid] = time
         subs = self.subscribers
         if subs:
             self.subscribers = None
@@ -117,26 +148,26 @@ class SEntry:
 class Context:
     """One SMT hardware context replaying one software thread."""
 
-    __slots__ = ("su", "ctx_idx", "tid", "replay", "trace", "vreg_pcs",
-                 "fetch_idx", "rob", "last_writer", "fetch_stalled_until",
-                 "blocked_on_branch", "waiting_barrier", "halted",
-                 "finish_time", "last_iline", "window_limit")
+    __slots__ = ("su", "ctx_idx", "tid", "replay", "trace", "vlines",
+                 "vmem_next", "fetch_idx", "rob", "last_writer",
+                 "fetch_stalled_until", "blocked_on_branch",
+                 "waiting_barrier", "halted", "finish_time", "last_iline")
 
     def __init__(self, su: "ScalarUnit", ctx_idx: int, tid: int,
-                 replay: ReplayTrace, ops: list, window_limit: int):
+                 replay: ReplayTrace, ops: list):
         self.su = su
         self.ctx_idx = ctx_idx
         self.tid = tid
         self.replay = replay
         #: the per-op list: op i's static fields (and event payload)
         self.trace = ops
-        #: pcs whose op writes a vector register (it holds a physical
-        #: vector register in the VCL), decoded once per pc
-        self.vreg_pcs = frozenset(
-            r.pc for r in replay.records
-            if any(u >= V_BASE for u in r.writes))
+        #: each vector memory op's distinct L2 lines, in trace order
+        #: (built on first use), and the ordinal of the next one to
+        #: dispatch -- ops dispatch in trace order, each exactly once
+        self.vlines: Optional[list] = None
+        self.vmem_next = 0
         self.fetch_idx = 0
-        self.rob: List[SEntry] = []          # used as a FIFO (pop from front)
+        self.rob: Deque[SEntry] = deque()
         self.last_writer: List = [0] * NUM_REG_UIDS
         self.fetch_stalled_until = 0
         self.blocked_on_branch: Optional[SEntry] = None
@@ -144,23 +175,15 @@ class Context:
         self.halted = False
         self.finish_time: Optional[int] = None
         self.last_iline = -1
-        self.window_limit = window_limit
-
-    @property
-    def done_fetching(self) -> bool:
-        return self.fetch_idx >= len(self.trace)
-
-    def can_fetch(self, cycle: int) -> bool:
-        return (not self.halted and not self.waiting_barrier
-                and self.blocked_on_branch is None
-                and self.fetch_stalled_until <= cycle
-                and not self.done_fetching
-                and len(self.rob) < self.window_limit
-                and self.su.rob_occupancy < self.su.cfg.window)
 
 
 class ScalarUnit:
-    """One SU instance (possibly multi-context) inside a machine."""
+    """One SU instance (possibly multi-context) inside a machine.
+
+    :meth:`step` is called only for a unit that holds a context.  The
+    L1 and branch-predictor counters of :attr:`stats` are filled in from
+    the caches and the predictor when the run's result is assembled.
+    """
 
     def __init__(self, machine: "Machine", index: int,
                  cfg: ScalarUnitConfig, l2: BankedL2):
@@ -186,325 +209,311 @@ class ScalarUnit:
         self._issueq_mem: list = []
         self._fetch_rr = 0
         self._commit_rr = 0
+        #: the contexts in round-robin order from each starting context
+        self._rotations: List[List[Context]] = []
 
     # -- setup ---------------------------------------------------------------
 
     def add_thread(self, tid: int, replay: ReplayTrace,
                    ops: list) -> Context:
-        ctx = Context(self, len(self.contexts), tid, replay, ops,
-                      self.cfg.window)
-        self.contexts.append(ctx)
+        ctx = Context(self, len(self.contexts), tid, replay, ops)
+        ctxs = self.contexts
+        ctxs.append(ctx)
+        self._rotations = [ctxs[k:] + ctxs[:k] for k in range(len(ctxs))]
         return ctx
-
-    # -- event plumbing --------------------------------------------------------
-
-    def schedule_ready(self, entry: SEntry) -> None:
-        heapq.heappush(self._ready_heap,
-                       (entry.ready_time, entry.seq, entry))
 
     # -- main per-cycle step ---------------------------------------------------
 
     def step(self, cycle: int) -> None:
-        if not self.contexts:
-            return  # no thread placed here (e.g. lane-core runs)
         self._commit(cycle)
-        self._wakeup(cycle)
         self._issue(cycle)
         self._frontend(cycle)
 
     # -- commit ----------------------------------------------------------------
 
     def _commit(self, cycle: int) -> None:
+        order = self._rotations[self._commit_rr]
+        self._commit_rr = (self._commit_rr + 1) % len(order)
         budget = self.cfg.width
-        nctx = len(self.contexts)
-        if nctx == 0:
-            return
-        start = self._commit_rr
-        self._commit_rr = (start + 1) % nctx
         obs = self.obs
         obs_on = obs.enabled
-        for k in range(nctx):
-            ctx = self.contexts[(start + k) % nctx]
+        for ctx in order:
             rob = ctx.rob
-            while budget and rob:
-                head = rob[0]
-                if head.done_time is None or head.done_time > cycle:
-                    break
-                rob.pop(0)
-                self.rob_occupancy -= 1
-                self.stats.committed += 1
+            while rob and rob[0].done_time <= cycle:
+                head = rob.popleft()
                 budget -= 1
                 if obs_on:
                     obs.emit(Event(cycle, COMMIT,
                                    f"SU{self.index}.c{ctx.ctx_idx}",
                                    head.dynop))
-            if budget == 0:
-                return
+                if not budget:
+                    break
+            if not budget:
+                break
+        committed = self.cfg.width - budget
+        if committed:
+            self.rob_occupancy -= committed
+            self.stats.committed += committed
 
-    # -- wakeup / issue ----------------------------------------------------------
+    # -- wakeup / issue / execute --------------------------------------------------
 
-    def _wakeup(self, cycle: int) -> None:
+    def _issue(self, cycle: int) -> None:
+        qa, qm = self._issueq_arith, self._issueq_mem
         heap = self._ready_heap
         while heap and heap[0][0] <= cycle:
             _, seq, entry = heapq.heappop(heap)
-            if entry.dynop.spec.pool == "mem":
-                heapq.heappush(self._issueq_mem, (seq, entry))
-            else:
-                heapq.heappush(self._issueq_arith, (seq, entry))
-
-    def _issue(self, cycle: int) -> None:
-        budget = self.cfg.width
-        arith_slots = self.cfg.arith_units
-        mem_slots = self.cfg.mem_ports
-        qa, qm = self._issueq_arith, self._issueq_mem
-        while budget:
-            pick_arith: Optional[bool] = None
-            if qa and arith_slots:
-                if qm and mem_slots:
-                    pick_arith = qa[0][0] < qm[0][0]
-                else:
-                    pick_arith = True
-            elif qm and mem_slots:
-                pick_arith = False
-            if pick_arith is None:
-                return
-            if pick_arith:
-                _, entry = heapq.heappop(qa)
-                arith_slots -= 1
-            else:
-                _, entry = heapq.heappop(qm)
-                mem_slots -= 1
-            self._execute(entry, cycle)
-            budget -= 1
-
-    def _execute(self, entry: SEntry, cycle: int) -> None:
-        dynop = entry.dynop
-        spec = dynop.spec
-        entry.issued = True
-        self.stats.issued += 1
-        if spec.is_load:
-            addr = entry.ctx.replay.addrs[entry.idx]
-            self.stats.l1d_accesses += 1
-            if self.l1d.access(addr):
-                done = cycle + spec.latency + self.cfg.l1_hit_latency
-            else:
-                self.stats.l1d_misses += 1
-                done = self.l2.access(addr, cycle + spec.latency
-                                      + self.cfg.l1_hit_latency)
-        elif spec.is_store:
-            addr = entry.ctx.replay.addrs[entry.idx]
-            self.stats.l1d_accesses += 1
-            if not self.l1d.access(addr):
-                self.stats.l1d_misses += 1
-                self.l2.access(addr, cycle + spec.latency)  # fill bandwidth
-            # coherence: peer L1s drop their copy of this line
-            self.machine.l1d_invalidate(addr, except_su=self)
-            done = cycle + spec.latency
-        else:
-            done = cycle + spec.latency
-        entry.done_time = done
-        entry.announce(done)
+            heapq.heappush(qm if entry.dynop.spec.pool == "mem" else qa,
+                           (seq, entry))
+        if not (qa or qm):
+            return
+        cfg = self.cfg
+        budget = cfg.width
+        arith_slots = cfg.arith_units
+        mem_slots = cfg.mem_ports
         obs = self.obs
-        if obs.enabled:
-            obs.emit(Event(cycle, ISSUE,
-                           f"SU{self.index}.c{entry.ctx.ctx_idx}", dynop,
-                           dur=done - cycle))
-        if entry.mispredicted:
+        while budget:
+            if qa and arith_slots:
+                if qm and mem_slots and qm[0][0] < qa[0][0]:
+                    entry = heapq.heappop(qm)[1]
+                    mem_slots -= 1
+                else:
+                    entry = heapq.heappop(qa)[1]
+                    arith_slots -= 1
+            elif qm and mem_slots:
+                entry = heapq.heappop(qm)[1]
+                mem_slots -= 1
+            else:
+                break
+            budget -= 1
+            dynop = entry.dynop
+            spec = dynop.spec
             ctx = entry.ctx
-            ctx.fetch_stalled_until = max(ctx.fetch_stalled_until,
-                                          done + self.cfg.mispredict_penalty)
-            self.stats.fetch_stall_cycles += \
-                max(0, ctx.fetch_stalled_until - cycle)
-            if obs.enabled and ctx.fetch_stalled_until > cycle:
-                obs.emit(Event(
-                    cycle, STALL, f"SU{self.index}.c{ctx.ctx_idx}", dynop,
-                    dur=ctx.fetch_stalled_until - cycle,
-                    reason=StallReason.BRANCH_MISPREDICT))
+            if spec.is_load:
+                addr = ctx.replay.addrs[entry.idx]
+                if self.l1d.access(addr):
+                    done = cycle + spec.latency + cfg.l1_hit_latency
+                else:
+                    done = self.l2.access(addr, cycle + spec.latency
+                                          + cfg.l1_hit_latency)
+            elif spec.is_store:
+                addr = ctx.replay.addrs[entry.idx]
+                if not self.l1d.access(addr):
+                    self.l2.access(addr, cycle + spec.latency)  # fill bandwidth
+                # coherence: peer L1s drop their copy of this line
+                self.machine.l1d_invalidate(addr, except_su=self)
+                done = cycle + spec.latency
+            else:
+                done = cycle + spec.latency
+            entry.done_time = done
+            entry.announce(done)
+            if obs.enabled:
+                obs.emit(Event(cycle, ISSUE, f"SU{self.index}.c{ctx.ctx_idx}",
+                               dynop, dur=done - cycle))
             if ctx.blocked_on_branch is entry:
+                # a mispredicted branch resolves: fetch resumes after
+                # the redirect penalty
                 ctx.blocked_on_branch = None
+                stall = done + cfg.mispredict_penalty
+                if stall > ctx.fetch_stalled_until:
+                    ctx.fetch_stalled_until = stall
+                self.stats.fetch_stall_cycles += \
+                    max(0, ctx.fetch_stalled_until - cycle)
+                if obs.enabled and ctx.fetch_stalled_until > cycle:
+                    obs.emit(Event(
+                        cycle, STALL, f"SU{self.index}.c{ctx.ctx_idx}", dynop,
+                        dur=ctx.fetch_stalled_until - cycle,
+                        reason=StallReason.BRANCH_MISPREDICT))
+        self.stats.issued += cfg.width - budget
 
     # -- frontend (fetch + dispatch) ------------------------------------------------
 
     def _frontend(self, cycle: int) -> None:
-        nctx = len(self.contexts)
-        if nctx == 0:
-            return
+        order = self._rotations[self._fetch_rr]
+        self._fetch_rr = (self._fetch_rr + 1) % len(order)
         budget = self.cfg.width
-        start = self._fetch_rr
-        self._fetch_rr = (start + 1) % nctx
-        for k in range(nctx):
+        for ctx in order:
+            # fetch gating, once per context: the ROB-room and
+            # end-of-trace tests are the only ones fetching itself moves
+            if (ctx.halted or ctx.waiting_barrier
+                    or ctx.blocked_on_branch is not None
+                    or ctx.fetch_stalled_until > cycle):
+                continue
+            budget = self._fetch_ctx(ctx, cycle, budget)
             if budget == 0:
                 return
-            ctx = self.contexts[(start + k) % nctx]
-            budget = self._fetch_ctx(ctx, cycle, budget)
 
     def _fetch_ctx(self, ctx: Context, cycle: int, budget: int) -> int:
-        while budget and ctx.can_fetch(cycle):
-            i = ctx.fetch_idx
-            dynop = ctx.trace[i]
-            spec = dynop.spec
+        """Fetch and dispatch up to ``budget`` ops of one context."""
+        cfg = self.cfg
+        line = cfg.l1_line
+        trace = ctx.trace
+        n = len(trace)
+        rob = ctx.rob
+        lw = ctx.last_writer
+        obs = self.obs
+        fetch_class = FETCH_CLASS
+        i = ctx.fetch_idx
+        # the shared ROB's free entries; a context's own ROB is never
+        # larger than the shared occupancy, so this is its limit too
+        room = cfg.window - self.rob_occupancy
+        seq = self._seq
+        while budget and i < n and room > 0:
+            dynop = trace[i]
 
             # I-cache at line granularity.
-            iline = (CODE_BASE + dynop.pc * INSTR_BYTES) // self.cfg.l1_line
+            iline = (CODE_BASE + dynop.pc * INSTR_BYTES) // line
             if iline != ctx.last_iline:
-                self.stats.l1i_accesses += 1
                 ctx.last_iline = iline
-                if not self.l1i.access(iline * self.cfg.l1_line):
-                    self.stats.l1i_misses += 1
-                    ctx.fetch_stalled_until = self.l2.access(
-                        iline * self.cfg.l1_line, cycle)
+                if not self.l1i.access(iline * line):
+                    ctx.fetch_stalled_until = self.l2.access(iline * line,
+                                                             cycle)
                     self.stats.fetch_stall_cycles += \
                         ctx.fetch_stalled_until - cycle
-                    obs = self.obs
                     if obs.enabled:
                         obs.emit(Event(
                             cycle, STALL,
                             f"SU{self.index}.c{ctx.ctx_idx}", dynop,
                             dur=ctx.fetch_stalled_until - cycle,
                             reason=StallReason.L1I_MISS))
-                    return budget
+                    break
 
-            if spec.is_barrier or spec.is_halt:
-                # memory-synchronisation semantics: all prior scalar work
-                # committed AND this thread's vector work drained
-                vu = self.machine.vu
-                if ctx.rob or (vu is not None
-                               and not vu.partition_idle(ctx.tid, cycle)):
-                    return budget
-                ctx.fetch_idx += 1
-                if spec.is_barrier:
-                    ctx.waiting_barrier = True
-                    self.machine.barrier_arrive(ctx.tid, cycle)
+            fclass = fetch_class[dynop.op]
+            if fclass <= _BRANCH:
+                # a scalar op: allocate a ROB entry, wire true dependences
+                ready = cycle + 1
+                producers = None
+                for uid in dynop.reads:
+                    w = lw[uid]
+                    if w.__class__ is int:
+                        if w > ready:
+                            ready = w
+                    elif producers is None:
+                        producers = [w]
+                    else:
+                        producers.append(w)
+                seq += 1
+                entry = SEntry(dynop, ctx, seq, i, ready)
+                for uid in dynop.writes:
+                    lw[uid] = entry
+                if producers is not None:
+                    entry.unmet = len(producers)
+                    for w in producers:
+                        w.subscribe(entry)
+                elif ready == cycle + 1:
+                    # ready next cycle: the next wake-up would move it
+                    # to its issue queue before anything issues
+                    heapq.heappush(
+                        self._issueq_mem if fclass == _MEM
+                        else self._issueq_arith, (seq, entry))
                 else:
-                    ctx.halted = True
-                    ctx.finish_time = cycle
-                    self.machine.thread_halted(ctx.tid, cycle)
-                return budget
-            if spec.is_lsync:
-                # memory-ordering fence: hold fetch until this thread's
-                # vector accesses have drained (paper Section 2's
-                # compiler-generated memory barriers)
-                vu = self.machine.vu
-                if vu is not None and not vu.partition_idle(ctx.tid, cycle):
-                    return budget
-                ctx.fetch_idx += 1
+                    heapq.heappush(self._ready_heap, (ready, seq, entry))
+                rob.append(entry)
+                room -= 1
+                i += 1
                 budget -= 1
+                if fclass == _BRANCH and not self.bpred.predict_and_update(
+                        dynop.pc, ctx.replay.takens[i - 1]):
+                    ctx.blocked_on_branch = entry
+                    break
                 continue
-            if spec.is_vltcfg:
-                vu = self.machine.vu
-                imm = ctx.replay.imms[i]
-                n = imm if imm > 0 else self.machine.num_threads
-                if vu is None or n == len(vu.partitions):
-                    # no change: a cheap configuration check
-                    ctx.fetch_idx += 1
-                    budget -= 1
-                    continue
-                # an actual repartition quiesces the whole vector unit
-                # (the paper switches at region boundaries, Section 3.3)
-                if ctx.rob or vu.busy(cycle):
-                    return budget
-                ctx.fetch_idx += 1
-                self.machine.vltcfg_request(ctx.tid, n, cycle)
-                ctx.fetch_stalled_until = cycle + self.machine.cfg.vltcfg_overhead
-                return budget
 
-            if spec.is_vector:
-                vu = self.machine.vu
+            vu = self.machine.vu
+            if fclass == _VECTOR:
                 if vu is None:
                     raise RuntimeError(
                         f"vector instruction {dynop.op!r} on machine "
                         f"{self.machine.cfg.name!r} without a vector unit")
                 if not vu.can_accept(ctx.tid, cycle):
                     self.stats.dispatch_stall_viq += 1
-                    return budget
-                entry, scalar_ready, pending = self._dispatch_vector(
-                    ctx, dynop, cycle, i)
+                    break
+                # The ROB entry retires at once (it can no longer fault)
+                # unless the op produces a scalar result, which the VCL
+                # completes.  The VCL entry gets the known lower bound on
+                # scalar-operand readiness and the in-flight scalar
+                # producers it must subscribe to; vector-register
+                # dependences are the VCL's business.
+                regs = ctx.replay.vregs[dynop.pc]
+                scalar_ready = cycle + 1
+                pending: List[SEntry] = []
+                for uid in regs.sreads:
+                    w = lw[uid]
+                    if w.__class__ is int:
+                        if w > scalar_ready:
+                            scalar_ready = w
+                    else:
+                        pending.append(w)
+                seq += 1
+                entry = SEntry(dynop, ctx, seq, i, cycle + 1)
+                if regs.swrites:
+                    for uid in regs.swrites:
+                        lw[uid] = entry
+                else:
+                    entry.done_time = cycle + 1
+                rob.append(entry)
+                room -= 1
+                if regs.is_mem:
+                    if ctx.vlines is None:
+                        ctx.vlines = ctx.replay.vlines(self.l2.cfg.line)
+                    addrs = ctx.replay.vaddrs(i)
+                    lines = ctx.vlines[ctx.vmem_next]
+                    ctx.vmem_next += 1
+                else:
+                    addrs = lines = None
                 vu.dispatch(ctx.tid, entry, cycle, scalar_ready, pending,
-                            ctx.replay.vls[i],
-                            ctx.replay.vaddrs(i) if spec.pool == "vmem"
-                            else None,
-                            dynop.pc in ctx.vreg_pcs)
-                ctx.fetch_idx += 1
+                            ctx.replay.vls[i], regs, addrs, lines)
+                i += 1
                 budget -= 1
-                self.stats.fetched += 1
                 continue
-
-            entry = self._dispatch(ctx, dynop, cycle, i)
-            ctx.fetch_idx += 1
-            budget -= 1
-            self.stats.fetched += 1
-
-            if spec.is_branch and not spec.is_uncond:
-                self.stats.branch_lookups += 1
-                correct = self.bpred.predict_and_update(
-                    dynop.pc, ctx.replay.takens[i])
-                if not correct:
-                    self.stats.branch_mispredicts += 1
-                    entry.mispredicted = True
-                    ctx.blocked_on_branch = entry
-                    return budget
+            if fclass == _LSYNC:
+                # memory-ordering fence: hold fetch until this thread's
+                # vector accesses have drained (paper Section 2's
+                # compiler-generated memory barriers)
+                if vu is not None and not vu.partition_idle(ctx.tid, cycle):
+                    break
+                i += 1
+                budget -= 1
+                continue
+            if fclass == _VLTCFG:
+                imm = ctx.replay.imms[i]
+                nthr = imm if imm > 0 else self.machine.num_threads
+                if vu is None or nthr == len(vu.partitions):
+                    # no change: a cheap configuration check
+                    i += 1
+                    budget -= 1
+                    continue
+                # an actual repartition quiesces the whole vector unit
+                # (the paper switches at region boundaries, Section 3.3)
+                if rob or vu.busy(cycle):
+                    break
+                i += 1
+                ctx.fetch_idx = i
+                self.machine.vltcfg_request(ctx.tid, nthr, cycle)
+                ctx.fetch_stalled_until = \
+                    cycle + self.machine.cfg.vltcfg_overhead
+                break
+            # barrier or halt: memory-synchronisation semantics -- all
+            # prior scalar work committed AND this thread's vector work
+            # drained
+            if rob or (vu is not None
+                       and not vu.partition_idle(ctx.tid, cycle)):
+                break
+            i += 1
+            ctx.fetch_idx = i
+            if fclass == _BARRIER:
+                ctx.waiting_barrier = True
+                self.machine.barrier_arrive(ctx.tid, cycle)
+            else:
+                ctx.halted = True
+                ctx.finish_time = cycle
+                self.machine.thread_halted(ctx.tid, cycle)
+            break
+        dispatched = seq - self._seq
+        if dispatched:
+            self._seq = seq
+            self.rob_occupancy += dispatched
+            self.stats.fetched += dispatched
+        ctx.fetch_idx = i
         return budget
-
-    def _dispatch(self, ctx: Context, dynop, cycle: int,
-                  idx: int) -> SEntry:
-        """Allocate a ROB entry for a scalar op and wire true dependences."""
-        self._seq += 1
-        entry = SEntry(dynop, ctx, self._seq, cycle, idx)
-        lw = ctx.last_writer
-        unmet = 0
-        ready = cycle + 1
-        for uid in dynop.reads:
-            w = lw[uid]
-            if isinstance(w, int):
-                if w > ready:
-                    ready = w
-            else:
-                w.subscribe(entry)
-                unmet += 1
-        entry.ready_time = ready
-        entry.unmet = unmet
-        for uid in dynop.writes:
-            lw[uid] = entry
-        if unmet == 0:
-            self.schedule_ready(entry)
-        ctx.rob.append(entry)
-        self.rob_occupancy += 1
-        return entry
-
-    def _dispatch_vector(self, ctx: Context, dynop, cycle: int, idx: int):
-        """Allocate a ROB entry for a vector op.
-
-        Returns ``(entry, scalar_ready, pending)``: the known lower bound
-        on scalar-operand readiness and the list of in-flight scalar
-        producers the VCL entry must subscribe to.  Vector-register
-        dependences are the VCL's business.  The entry retires from the
-        SU ROB immediately (it can no longer fault) unless it produces a
-        scalar result, in which case it completes via the VCL callback.
-        """
-        self._seq += 1
-        entry = SEntry(dynop, ctx, self._seq, cycle, idx)
-        lw = ctx.last_writer
-        scalar_ready = cycle + 1
-        pending: List[SEntry] = []
-        for uid in dynop.reads:
-            if not uid_is_scalar(uid):
-                continue
-            w = lw[uid]
-            if isinstance(w, int):
-                if w > scalar_ready:
-                    scalar_ready = w
-            else:
-                pending.append(w)
-        writes_scalar = False
-        for uid in dynop.writes:
-            if uid_is_scalar(uid):
-                lw[uid] = entry
-                writes_scalar = True
-        if not writes_scalar:
-            entry.done_time = cycle + 1
-        ctx.rob.append(entry)
-        self.rob_occupancy += 1
-        return entry, scalar_ready, pending
 
     # -- idle detection ---------------------------------------------------------
 
@@ -512,19 +521,22 @@ class ScalarUnit:
         """Earliest future cycle at which this SU can make progress."""
         if self._issueq_arith or self._issueq_mem:
             return cycle + 1
-        best = 1 << 62
+        best = _NOT_DONE
+        room = self.rob_occupancy < self.cfg.window
         for ctx in self.contexts:
             if ctx.halted or ctx.waiting_barrier:
                 continue
-            if ctx.can_fetch(cycle):
-                return cycle + 1
+            stalled = ctx.fetch_stalled_until
+            if ctx.blocked_on_branch is None:
+                if stalled <= cycle:
+                    if room and ctx.fetch_idx < len(ctx.trace):
+                        return cycle + 1
+                elif stalled < best:
+                    best = stalled
             if ctx.rob:
                 t = ctx.rob[0].done_time
-                if t is not None and t < best:
+                if t < best:
                     best = t if t > cycle else cycle + 1
-            if ctx.fetch_stalled_until > cycle and ctx.blocked_on_branch is None:
-                if ctx.fetch_stalled_until < best:
-                    best = ctx.fetch_stalled_until
         if self._ready_heap:
             t = self._ready_heap[0][0]
             if t < best:

@@ -41,7 +41,6 @@ from typing import List, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from ..isa.registers import V_BASE, uid_is_scalar
 from ..obs.events import (Event, EventBus, NULL_BUS, STALL, VISSUE,
                           StallReason)
 from .config import VectorUnitConfig
@@ -57,15 +56,16 @@ class VEntry:
     """An in-flight vector instruction inside the VCL.
 
     ``dynop`` supplies the op's static fields (and is the event
-    payload); the dispatching SU hands over its dynamic ones.
+    payload); ``regs`` is its pc's :class:`~repro.functional.trace.
+    VectorRegs`; the dispatching SU hands over its dynamic fields.
     """
 
     __slots__ = ("dynop", "seq", "sentry", "scalar_unmet", "vec_unmet",
-                 "ready", "subscribers", "issued", "transfer", "writes_vreg",
-                 "vl", "addrs")
+                 "ready", "subscribers", "transfer", "regs", "vl", "addrs",
+                 "lines")
 
     def __init__(self, dynop, seq: int, sentry, ready: int, transfer: int,
-                 vl: int, addrs: Optional[np.ndarray], writes_vreg: bool):
+                 vl: int, regs, addrs: Optional[np.ndarray], lines):
         self.dynop = dynop
         self.seq = seq
         self.sentry = sentry
@@ -73,13 +73,13 @@ class VEntry:
         self.vec_unmet = 0
         self.ready = ready
         self.subscribers: Optional[list] = None
-        self.issued = False
         self.transfer = transfer
-        #: holds a physical vector register from dispatch to completion
-        self.writes_vreg = writes_vreg
+        self.regs = regs
         self.vl = vl
-        #: element addresses of a vector memory op (None otherwise)
+        #: element addresses and distinct L2 lines of a vector memory
+        #: op (None otherwise)
         self.addrs = addrs
+        self.lines = lines
 
     def notify(self, time: int) -> None:
         """A scalar producer (SEntry) announced; add the SU->VCL hop."""
@@ -183,7 +183,8 @@ class VectorUnit:
         self._folded_util = DatapathUtilization()
         self.partitions: List[Partition] = []
         self._build_partitions(lane_split)
-        self._seq = 0
+        #: vector instructions dispatched so far (each VEntry's seq)
+        self.dispatched = 0
         self._rr = 0
         self.last_completion = 0
 
@@ -293,26 +294,27 @@ class VectorUnit:
         return not part.in_flight(cycle) and part.last_completion <= cycle
 
     def dispatch(self, tid: int, sentry, cycle: int,
-                 scalar_ready: int, pending: list, vl: int,
-                 addrs: Optional[np.ndarray], writes_vreg: bool) -> VEntry:
+                 scalar_ready: int, pending: list, vl: int, regs,
+                 addrs: Optional[np.ndarray], lines) -> VEntry:
         """Accept a vector instruction from the SU at dispatch time.
 
-        ``vl`` and ``addrs`` are the op's dynamic vector length and
-        element addresses; ``writes_vreg`` says whether it writes a
-        vector register.
+        ``vl`` is the op's dynamic vector length and ``regs`` its
+        register split (:class:`~repro.functional.trace.VectorRegs`);
+        a memory op also brings its element addresses and their sorted
+        distinct L2 lines.
         """
         part = self.partitions[tid]
         transfer = self.cfg.su_transfer
-        self._seq += 1
+        self.dispatched += 1
         arrival = cycle + transfer
-        ventry = VEntry(sentry.dynop, self._seq, sentry,
+        ventry = VEntry(sentry.dynop, self.dispatched, sentry,
                         max(arrival, scalar_ready + transfer), transfer,
-                        vl, addrs, writes_vreg)
+                        vl, regs, addrs, lines)
         ventry.scalar_unmet = len(pending)
         for producer in pending:
             producer.subscribe(ventry)
         part.reserved += 1
-        if ventry.writes_vreg:
+        if regs.writes_vreg:
             part.rename_queued += 1
         heapq.heappush(part.arrivals, (arrival, ventry.seq, ventry))
         return ventry
@@ -321,22 +323,22 @@ class VectorUnit:
 
     def step(self, cycle: int) -> None:
         for part in self.partitions:
-            self._admit(part, cycle)
+            arr = part.arrivals
+            if arr and arr[0][0] <= cycle:
+                self._admit(part, cycle)
         self._issue(cycle)
         self._account(cycle)
 
     def _admit(self, part: Partition, cycle: int) -> None:
         """Move arrived instructions into the VIQ and wire vector deps."""
         arr = part.arrivals
+        lw = part.last_writer
         while arr and arr[0][0] <= cycle:
-            _, _, ventry = heapq.heappop(arr)
-            lw = part.last_writer
-            dynop = ventry.dynop
-            for uid in dynop.reads:
-                if uid_is_scalar(uid):
-                    continue
-                w = lw[uid - V_BASE]
-                if isinstance(w, tuple):
+            ventry = heapq.heappop(arr)[2]
+            regs = ventry.regs
+            for v in regs.vreads:
+                w = lw[v]
+                if w.__class__ is tuple:
                     # Consumers use the producer's chain time; values that
                     # cannot be chained (loaded from memory) are encoded by
                     # the producer publishing chain == full completion.
@@ -346,9 +348,8 @@ class VectorUnit:
                 else:
                     w.vec_subscribe(ventry)
                     ventry.vec_unmet += 1
-            for uid in dynop.writes:
-                if not uid_is_scalar(uid):
-                    lw[uid - V_BASE] = ventry
+            for v in regs.vwrites:
+                lw[v] = ventry
             part.viq.append(ventry)
 
     def _issue(self, cycle: int) -> None:
@@ -356,17 +357,19 @@ class VectorUnit:
         if self.cfg.replicated_vcl:
             # one VCL per thread: full issue width per partition
             for part in self.partitions:
-                self._issue_partition(part, cycle, self.cfg.issue_width)
+                if part.viq:
+                    self._issue_partition(part, cycle, self.cfg.issue_width)
             return
         # multiplexed VCL: the issue width is shared round-robin
         budget = self.cfg.issue_width
         start = self._rr
         self._rr = (start + 1) % nparts
         for k in range(nparts):
-            if budget == 0:
-                return
             part = self.partitions[(start + k) % nparts]
-            budget = self._issue_partition(part, cycle, budget)
+            if part.viq:
+                budget = self._issue_partition(part, cycle, budget)
+                if budget == 0:
+                    return
 
     def _issue_partition(self, part: Partition, cycle: int,
                          budget: int) -> int:
@@ -378,40 +381,32 @@ class VectorUnit:
                     or ventry.ready > cycle):
                 i += 1
                 continue
-            spec = ventry.dynop.spec
-            is_mem = spec.pool == "vmem"
-            fu_idx = self._free_unit(
-                part.ports if is_mem else part.fus, cycle)
-            if fu_idx is None:
+            regs = ventry.regs
+            for fu_idx, fu in enumerate(part.ports if regs.is_mem
+                                        else part.fus):
+                if fu.busy_until <= cycle:
+                    break
+            else:
                 i += 1
                 continue
             viq.pop(i)
             part.reserved -= 1
-            if ventry.writes_vreg:
+            if regs.writes_vreg:
                 part.rename_queued -= 1
-            self._execute(part, ventry, fu_idx, cycle)
+            self._execute(part, ventry, fu, fu_idx, regs.is_mem, cycle)
             budget -= 1
         return budget
 
-    @staticmethod
-    def _free_unit(units: List[_FU], cycle: int) -> Optional[int]:
-        for i, u in enumerate(units):
-            if u.busy_until <= cycle:
-                return i
-        return None
-
-    def _execute(self, part: Partition, ventry: VEntry, fu_idx: int,
-                 cycle: int) -> None:
+    def _execute(self, part: Partition, ventry: VEntry, fu: _FU,
+                 fu_idx: int, is_mem: bool, cycle: int) -> None:
         dynop = ventry.dynop
         spec = dynop.spec
-        is_mem = spec.pool == "vmem"
-        fu = (part.ports if is_mem else part.fus)[fu_idx]
         k = part.k
         vl = ventry.vl
         occ = max(1, -(-vl // k))
-        ventry.issued = True
-        self.stats.issued += 1
-        self.stats.element_ops += vl
+        stats = self.stats
+        stats.issued += 1
+        stats.element_ops += vl
         obs = self.obs
         if obs.enabled:
             label = f"port{fu_idx}" if is_mem else f"fu{fu_idx}"
@@ -423,19 +418,19 @@ class VectorUnit:
         fu.occ = occ
         fu.vl = vl
 
-        if spec.pool == "vmem":
+        if is_mem:
             addrs = ventry.addrs
-            n = 0 if addrs is None else int(addrs.size)
-            unit_stride = not (spec.mem_stride or spec.mem_indexed)
+            lines = ventry.lines
             completion = self.l2.vector_access(
-                addrs if addrs is not None else _EMPTY,
-                cycle + 1, addrs_per_cycle=k, unit_stride=unit_stride)
-            if spec.is_store and n and self._invalidate is not None:
+                addrs, cycle + 1, addrs_per_cycle=k,
+                unit_stride=not (spec.mem_stride or spec.mem_indexed),
+                lines=lines)
+            if spec.is_store and lines and self._invalidate is not None:
                 # vector stores write the L2 directly; SU L1 copies of
                 # the touched lines go stale (Section 2 coherence)
-                self._invalidate(addrs)
-            self.stats.mem_instrs += 1
-            self.stats.mem_elements += n
+                self._invalidate(lines)
+            stats.mem_instrs += 1
+            stats.mem_elements += addrs.size
             chain = full = completion
         else:
             completion = cycle + occ + spec.latency
@@ -448,12 +443,13 @@ class VectorUnit:
             self.last_completion = full
         if full > part.last_completion:
             part.last_completion = full
-        if ventry.writes_vreg:
+        regs = ventry.regs
+        if regs.writes_vreg:
             heapq.heappush(part.rename_pending, full)
         lw = part.last_writer
-        for uid in dynop.writes:
-            if not uid_is_scalar(uid) and lw[uid - V_BASE] is ventry:
-                lw[uid - V_BASE] = (chain, full)
+        for v in regs.vwrites:
+            if lw[v] is ventry:
+                lw[v] = (chain, full)
         subs = ventry.subscribers
         if subs:
             ventry.subscribers = None
@@ -461,8 +457,7 @@ class VectorUnit:
                 c.vec_notify(chain)
 
         # Scalar results travel back to the SU.
-        writes_scalar = any(uid_is_scalar(u) for u in dynop.writes)
-        if writes_scalar:
+        if regs.swrites:
             ventry.sentry.vu_complete(full + self.cfg.su_transfer)
 
     # -- utilization accounting (Figure 4) ---------------------------------------
@@ -543,11 +538,3 @@ class VectorUnit:
             if p.in_flight(cycle):
                 return True
         return False
-
-    def next_event(self, cycle: int) -> int:
-        if self.busy(cycle):
-            return cycle + 1
-        return 1 << 62
-
-
-_EMPTY = np.empty(0, dtype=np.int64)

@@ -19,6 +19,7 @@ from repro.functional.trace import (MAX_PC, TraceInvariantError,
 from repro.functional.trace_cache import TraceCache
 from repro.harness import experiments as E
 from repro.harness.runner import RunSpec
+from repro.isa import ProgramBuilder, S, V
 from repro.isa.registers import NUM_REG_UIDS
 from repro.timing import simulate
 from repro.timing.config import get_config
@@ -147,6 +148,37 @@ class TestReplayForm:
         assert counters["trace_stores"] == 1
         assert path.read_bytes() == good
         assert not goldens.mismatches({self.SPEC: result})
+
+    def test_vector_lines_match_per_op_unique(self):
+        """The per-trace line table equals ``np.unique`` of each vector
+        memory op's addresses, the per-access computation it replaced,
+        for unit-stride, strided, indexed and masked accesses."""
+        b = ProgramBuilder("lines", memory_kib=64)
+        b.data_i64("x", np.arange(512, dtype=np.int64))
+        b.data_i64("idx", np.array([40, 0, 8, 200, 8, 4000, 64, 3],
+                                   dtype=np.int64) * 8)
+        b.op("li", S(1), 8)
+        b.op("setvl", S(2), S(1))
+        b.la(S(3), "x")
+        b.la(S(4), "idx")
+        b.op("vld", V(2), (0, S(4)))                 # unit stride
+        b.op("li", S(5), 520)
+        b.op("vlds", V(1), (8, S(3)), S(5))          # strided
+        b.op("vldx", V(3), (0, S(3)), V(2))          # unordered, repeats
+        b.op("li", S(6), 400)
+        b.op("vslt.vs", V(2), S(6))
+        b.op("vst", V(3), (56, S(3)), masked=True)   # inactive gaps
+        b.op("halt")
+        replay = trace_for(b.build(), 1).threads[0].replay()
+        ops = [i for i, op in enumerate(replay.ops)
+               if op.spec.pool == "vmem"]
+        assert len(ops) == 4
+        for line in (8, 64, 4096):
+            expect = [np.unique(replay.vaddrs(i) // line).tolist()
+                      for i in ops]
+            assert [list(x) for x in replay.vlines(line)] == expect
+        assert any(isinstance(x, tuple) and len(x) > 1
+                   for x in replay.vlines(64))
 
     @pytest.mark.parametrize("spec", [
         RunSpec("trfd", "V2-CMP", 2),                      # scalar units

@@ -1,7 +1,10 @@
 """Event bus semantics and the zero-overhead-when-disabled contract."""
 
+import json
+
 import pytest
 
+from repro.harness.runner import RunSpec
 from repro.isa import assemble
 from repro.obs import (BANK_CONFLICT, CACHE_MISS, COMMIT, EVENT_KINDS, Event,
                        EventBus, EventLog, ISSUE, LANE_ISSUE, NULL_BUS, STALL,
@@ -191,7 +194,9 @@ class TestEnabledModeCountsMatchStats:
 
 
 #: (app, config, threads) -> (events, digest) of the traced run's
-#: scalar-unit and vector-unit event stream (:func:`goldens.events_digest`)
+#: scalar-unit and vector-unit event stream (:func:`goldens.events_digest`).
+#: A configuration without a vector unit runs the app's scalar flavour,
+#: as Figure 6 does.
 _UNIT_STREAMS = {
     ("trfd", "base", 1): (8_605, "1b0246f9283a968e0e68a7a0ad4ab442"
                                  "ad908aadbb2c0f274dfa60039d62da9d"),
@@ -200,19 +205,33 @@ _UNIT_STREAMS = {
     # SMT contexts sharing one scalar unit
     ("mpenc", "V4-SMT", 4): (65_797, "7681d43e7ea53bd552e7d996f4e6ce94"
                                      "aeab2c9e20d6a54d03dccd22c003d5a4"),
+    # four SUs of widths 4 and 2 behind a 4-way multiplexed VCL
+    ("trfd", "V4-CMP-h", 4): (11_857, "f8e17aec1300728ecb53fdd493df22b1"
+                                      "1ec39576e815b5aded9c58c804ea79ac"),
+    # SMT SUs without a vector unit; scalar stores invalidate the peer L1D
+    ("barnes", "CMT", 4): (208_451, "bdba8b15e44f3271dd5d4fa7dbbbac89"
+                                    "ee8198deff6eb9322098c998c1f54242"),
 }
 
 
 class TestUnitEventStreams:
     """SU/VCL event streams pinned as digests, the counterpart of the
-    ocean lane-core digest in ``test_timing_lane_core.py``."""
+    ocean lane-core digest in ``test_timing_lane_core.py``.  Every
+    pinned run is also a Figure 3/5/6 point, so the traced run's result
+    must equal its untraced golden as well."""
 
     @pytest.mark.parametrize("app,config,threads", list(_UNIT_STREAMS))
     def test_stream_matches_golden(self, app, config, threads):
         events, digest = _UNIT_STREAMS[app, config, threads]
-        prog = get_workload(app).program()
-        log = simulate_traced(prog, get_config(config), num_threads=threads,
-                              max_events=2_000_000).events
+        cfg = get_config(config)
+        scalar_only = cfg.vu is None
+        prog = get_workload(app).program(scalar_only=scalar_only)
+        traced = simulate_traced(prog, cfg, num_threads=threads,
+                                 max_events=2_000_000)
+        log = traced.events
         assert log.dropped == 0
         assert len(log.events) == events
         assert goldens.events_digest(log) == digest
+        spec = RunSpec(app, config, threads, scalar_only=scalar_only)
+        golden = json.loads(goldens.GOLDEN_PATH.read_text())
+        assert goldens.record(traced.result) == golden[str(spec)]
