@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.functional import Executor
 from repro.isa import assemble
 from repro.obs import PhaseProfiler
 from repro.timing import clear_trace_cache, simulate
@@ -103,11 +104,8 @@ def test_functional_simulation_speed(benchmark):
     prog = assemble(_SRC)
     walls: list = []
 
-    def run():
-        clear_trace_cache()
-        return trace_for(prog, 1, func_engine="reference")
-
-    trace = benchmark(_timed(run, walls))
+    trace = benchmark(_timed(lambda: Executor(prog, num_threads=1).run(),
+                             walls))
     assert trace.total_ops() > 2000
     wall = _min_wall(benchmark, walls)
     _record("functional", wall_s=wall, ops=trace.total_ops(),
@@ -148,10 +146,8 @@ def test_fast_trace_generation_speed(benchmark):
     prog = assemble(_SRC_STEADY)
 
     ref_walls: list = []
-    run_ref = _timed(lambda: trace_for(prog, 1, func_engine="reference"),
-                     ref_walls)
+    run_ref = _timed(lambda: Executor(prog, num_threads=1).run(), ref_walls)
     for _ in range(3):
-        clear_trace_cache()
         ref_trace = run_ref()
     ref_wall = min(ref_walls)
     ops = ref_trace.total_ops()
@@ -160,7 +156,7 @@ def test_fast_trace_generation_speed(benchmark):
 
     def run():
         clear_trace_cache()
-        return trace_for(prog, 1, func_engine="fast")
+        return trace_for(prog, 1)
 
     run_fast = _timed(run, walls)
     for _ in range(3):   # warm runs (block compile + expansion cache)

@@ -1,8 +1,7 @@
 """Functional (architectural) simulation: memory, state, interpreter, traces."""
 
 from .executor import ExecutionError, Executor, run_program
-from .fast import (FUNC_ENGINES, FastExecutor, run_program_fast,
-                   validate_func_engine)
+from .fast import FastExecutor, run_program_fast
 from .memory import Memory, MemoryFault, MisalignedAccess
 from .state import ThreadState
 from .trace import (TRACE_FORMAT_VERSION, DynOp, ProgramTrace, ThreadTrace,
@@ -12,8 +11,7 @@ from .trace_cache import TraceCache
 
 __all__ = [
     "ExecutionError", "Executor", "run_program",
-    "FUNC_ENGINES", "FastExecutor", "run_program_fast",
-    "validate_func_engine",
+    "FastExecutor", "run_program_fast",
     "Memory", "MemoryFault", "MisalignedAccess",
     "ThreadState", "DynOp", "ProgramTrace", "ThreadTrace",
     "TraceInvariantError",

@@ -57,19 +57,6 @@ from .state import ThreadState
 from .trace import (ProgramTrace, ThreadTrace, decode_static,
                     thread_trace_from_columns)
 
-#: functional (trace-generation) engines selectable throughout the stack
-FUNC_ENGINES = ("reference", "fast")
-
-
-def validate_func_engine(name: str) -> str:
-    """Check a functional-engine name; returns it or raises ValueError."""
-    if name not in FUNC_ENGINES:
-        raise ValueError(
-            f"unknown functional engine {name!r} (choose from "
-            f"{', '.join(FUNC_ENGINES)})")
-    return name
-
-
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _WRAP_LO = "0x8000000000000000"
 _WRAP_HI = "0x10000000000000000"

@@ -22,16 +22,20 @@ Usage::
                                                     # profile
     vlt-repro determinism                           # tracing on/off
                                                     # result-identity check
+    vlt-repro determinism radix --config CMT --threads 4 --scalar-only
+                                                    # ... of one flavour
     vlt-repro cache stats --cache-dir ~/.vlt-cache  # cache census
     vlt-repro cache clear --cache-dir ~/.vlt-cache
     vlt-repro lint                                  # static verifier over
                                                     # workloads + examples
     vlt-repro lint prog.s                           # lint an assembly file
-    vlt-repro diff                                  # functional-vs-timing
-                                                    # check, fig3/5/6 matrix
-    vlt-repro diff mxm --config base --threads 2    # one differential run
-    vlt-repro diff --func-engine reference          # replay the oracle
-                                                    # engine's traces
+    vlt-repro diff                                  # fast engine vs the
+                                                    # reference oracle and
+                                                    # functional vs timing,
+                                                    # fig3/5/6 matrix
+    vlt-repro diff mxm --config V2-CMP --threads 2  # one differential run
+    vlt-repro diff radix --config VLT-scalar --threads 8 --scalar-only
+                                                    # ... on the lane cores
     vlt-repro fig3 --verify --jobs 4                # differentially
                                                     # validated experiments
     vlt-repro fig3 --jobs 4 --telemetry tele-out    # fleet telemetry:
@@ -59,6 +63,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from . import experiments as E
 from . import report as R
+from .runner import RunSpec
 
 EXPERIMENT_NAMES = ["table1", "table2", "table3", "table4",
                     "fig1", "fig3", "fig4", "fig5", "fig6"]
@@ -68,6 +73,20 @@ EXPERIMENT_NAMES = ["table1", "table2", "table3", "table4",
 CLI_VERBS = tuple(EXPERIMENT_NAMES) + (
     "all", "verify", "mix", "run", "trace", "profile", "determinism",
     "cache", "lint", "diff", "tele", "serve", "compiler-tradeoff")
+
+#: the one-run verbs and their usage lines; each runs one RunSpec built
+#: from <app>, --config, --threads, --scalar-only and --strategy
+_RUN_USAGE = {
+    "run": "vlt-repro run <app> [--config C] [--threads N]",
+    "trace": "vlt-repro trace <app> [--out trace.json] [--config C] "
+             "[--threads N] [--max-events M]",
+    "profile": "vlt-repro profile <app> [--config C] [--threads N] "
+               "[--json path]",
+    "determinism": "vlt-repro determinism [app] [--config C] "
+                   "[--threads N]",
+    "diff": "vlt-repro diff [app] [--config C] [--threads N] "
+            "[--scalar-only] [--apps a,b]",
+}
 
 
 def verify_workloads(apps: Optional[List[str]] = None) -> str:
@@ -110,17 +129,12 @@ def instruction_mix(apps: Optional[List[str]] = None,
     return "\n\n".join(sections)
 
 
-def run_single(app: str, config: str = "base", threads: int = 1,
-               scalar_only: bool = False, func_engine: str = "fast",
-               strategy: str = "auto") -> str:
-    """Run one workload on one machine configuration; report the stats."""
+def run_single(spec: RunSpec) -> str:
+    """Run one spec on its machine configuration; report the stats."""
     from ..timing import simulate
     from ..timing.config import get_config
-    from ..workloads import get_workload
-    w = get_workload(app)
-    prog = w.program(scalar_only=scalar_only, strategy=strategy)
-    cfg = get_config(config)
-    r = simulate(prog, cfg, num_threads=threads, func_engine=func_engine)
+    r = simulate(spec.program(), get_config(spec.config),
+                 num_threads=spec.threads)
     lines = [r.summary()]   # includes L2 bank-conflict cycles
     if r.phase_release_cycles:
         lines.append(f"  phases: {r.phase_durations()}")
@@ -135,27 +149,22 @@ def run_single(app: str, config: str = "base", threads: int = 1,
     return "\n".join(lines)
 
 
-def run_trace(app: str, config: str = "base", threads: int = 1,
-              scalar_only: bool = False, out: Optional[str] = None,
-              max_events: int = 1_000_000, func_engine: str = "fast",
-              strategy: str = "auto") -> str:
-    """Run one workload fully instrumented; write a Chrome trace-event
+def run_trace(spec: RunSpec, out: Optional[str] = None,
+              max_events: int = 1_000_000) -> str:
+    """Run one spec fully instrumented; write a Chrome trace-event
     JSON (loads in Perfetto) and return the stall-attribution report."""
     from ..obs import render_stall_report, write_chrome_trace
     from ..timing import simulate_traced
     from ..timing.config import get_config
-    from ..workloads import get_workload
-    w = get_workload(app)
-    prog = w.program(scalar_only=scalar_only, strategy=strategy)
-    cfg = get_config(config)
-    tr = simulate_traced(prog, cfg, num_threads=threads,
-                         max_events=max_events, func_engine=func_engine)
+    tr = simulate_traced(spec.program(), get_config(spec.config),
+                         num_threads=spec.threads, max_events=max_events)
     lines = []
     if out:
         n = write_chrome_trace(
             out, tr.events.events,
-            process_name=f"vlt-sim:{app}@{config}",
-            metadata={"app": app, "config": config, "threads": threads,
+            process_name=f"vlt-sim:{spec.app}@{spec.config}",
+            metadata={"app": spec.app, "config": spec.config,
+                      "threads": spec.threads,
                       "cycles": tr.result.cycles,
                       "truncated": tr.events.truncated,
                       "dropped_events": tr.events.dropped})
@@ -183,28 +192,21 @@ def run_trace(app: str, config: str = "base", threads: int = 1,
     return "\n".join(lines)
 
 
-def run_profile(app: str, config: str = "base", threads: int = 1,
-                scalar_only: bool = False,
-                json_path: Optional[str] = None,
-                func_engine: str = "fast",
-                strategy: str = "auto") -> str:
+def run_profile(spec: RunSpec, json_path: Optional[str] = None) -> str:
     """Host-side self-profiling: wall time per simulation phase."""
     from ..timing import clear_trace_cache
     from ..timing.run import simulate, trace_for
     from ..timing.config import get_config
     from ..obs.hostprof import PhaseProfiler
-    from ..workloads import get_workload
-    w = get_workload(app)
-    prog = w.program(scalar_only=scalar_only, strategy=strategy)
-    cfg = get_config(config)
+    prog = spec.program()
     clear_trace_cache()   # so trace_generation is actually measured
     prof = PhaseProfiler()
-    r = simulate(prog, cfg, num_threads=threads, profiler=prof,
-                 func_engine=func_engine)
-    ops = trace_for(prog, threads).total_ops()
+    r = simulate(prog, get_config(spec.config), num_threads=spec.threads,
+                 profiler=prof)
+    ops = trace_for(prog, spec.threads).total_ops()
     total = prof.total_wall_s
     lines = [
-        f"profile {app} on {config} ({threads} threads): "
+        f"profile {spec.app} on {spec.config} ({spec.threads} threads): "
         f"{r.cycles} cycles, {ops} dynamic instructions",
         prof.report(),
         f"  simulated throughput: "
@@ -212,7 +214,8 @@ def run_profile(app: str, config: str = "base", threads: int = 1,
         f"{ops / total if total else 0:,.0f} ops/s host",
     ]
     if json_path:
-        payload = {"app": app, "config": config, "threads": threads,
+        payload = {"app": spec.app, "config": spec.config,
+                   "threads": spec.threads,
                    "cycles": r.cycles, "dynamic_ops": ops,
                    "phases": prof.as_dict(),
                    "total_wall_s": total}
@@ -222,35 +225,31 @@ def run_profile(app: str, config: str = "base", threads: int = 1,
     return "\n".join(lines)
 
 
-def check_determinism(app: str = "mxm", config: str = "base",
-                      threads: int = 1) -> str:
-    """Four runs of ``app`` -- tracing off and on, fresh functional traces
-    each time -- must produce identical :class:`RunResult`s (the
+def check_determinism(spec: RunSpec) -> str:
+    """Four runs of ``spec`` -- tracing off and on, fresh functional
+    traces each time -- must produce identical :class:`RunResult`s (the
     observability ``metrics`` aside).  Raises on drift."""
-    import dataclasses
     from ..timing import clear_trace_cache, simulate, simulate_traced
     from ..timing.config import get_config
-    from ..workloads import get_workload
-    cfg = get_config(config)
+    prog = spec.program()
+    cfg = get_config(spec.config)
     runs = []
     for label in ("off-1", "off-2", "on-1", "on-2"):
         clear_trace_cache()
-        prog = get_workload(app).program()
         if label.startswith("off"):
-            r = simulate(prog, cfg, num_threads=threads)
+            r = simulate(prog, cfg, num_threads=spec.threads)
         else:
-            r = simulate_traced(prog, cfg, num_threads=threads,
+            r = simulate_traced(prog, cfg, num_threads=spec.threads,
                                 max_events=100_000).result
         runs.append((label, dataclasses.replace(r, metrics=None)))
     detail = ", ".join(f"{lbl}={r.cycles}" for lbl, r in runs)
     drift = [lbl for lbl, r in runs[1:] if r != runs[0][1]]
     if drift:
         raise AssertionError(
-            f"non-deterministic results for {app} on {config}: "
+            f"non-deterministic results for {spec}: "
             f"{', '.join(drift)} differ from {runs[0][0]} ({detail})")
-    return (f"determinism OK: {app} on {config} ({threads} threads) -> "
-            f"{runs[0][1].cycles} cycles and identical results across "
-            f"tracing on/off re-runs ({detail})")
+    return (f"determinism OK: {spec} -> {runs[0][1].cycles} cycles and "
+            f"identical results across tracing on/off re-runs ({detail})")
 
 
 def _example_programs():
@@ -360,43 +359,29 @@ def lint_programs(apps: Optional[List[str]] = None,
     return text, total
 
 
-def diff_runs(app: Optional[str] = None, config: str = "base",
-              threads: int = 1, scalar_only: bool = False,
-              apps: Optional[List[str]] = None,
-              func_engine: str = "fast",
-              strategy: str = "auto") -> Tuple[str, int]:
+def diff_runs(spec: Optional[RunSpec] = None,
+              apps: Optional[List[str]] = None) -> Tuple[str, int]:
     """Differentially validate runs; returns (report, mismatch count).
 
-    With ``app``, checks that single (app, config, threads) run --
-    ``strategy`` picks the vectorization-strategy flavour for compiled
-    apps.  Without, sweeps the full Figure-3/5/6 run matrix -- every
-    (app x config x threads) point behind the paper's headline
-    figures -- proving the timing machine replays exactly what the
-    functional executor computed.  The trace under test (and the
-    state-comparison run) come from the engine ``func_engine`` names:
-    by default the fast block-compiled engine, which makes the sweep a
-    fast-vs-reference functional equivalence check as well;
-    ``--func-engine reference`` runs the oracle end to end.
+    With ``spec``, checks that single run.  Without, sweeps the full
+    Figure-3/5/6 run matrix (narrowed to ``apps``) -- every (app x
+    config x threads) point behind the paper's headline figures --
+    proving the timing machine replays exactly what the functional
+    executor computed.  The trace under test (and the state-comparison
+    run) come from the fast block-compiled engine, so the sweep is a
+    fast-vs-reference functional equivalence check as well.
     """
-    from ..harness.runner import RunSpec
     from ..timing.config import get_config
     from ..verify import differential_check
-    from ..workloads import get_workload
 
-    if app is not None:
-        specs = [RunSpec(app, get_config(config).name, threads,
-                         scalar_only=scalar_only, strategy=strategy)]
-    else:
-        specs = E.matrix_for(["fig3", "fig5", "fig6"], apps=apps)
+    specs = ([spec] if spec is not None
+             else E.matrix_for(["fig3", "fig5", "fig6"], apps=apps))
     rows = []
     details: List[str] = []
     bad = 0
     for spec in specs:
-        prog = get_workload(spec.app).program(scalar_only=spec.scalar_only,
-                                              strategy=spec.strategy)
-        report = differential_check(prog, get_config(spec.config),
-                                    num_threads=spec.threads,
-                                    func_engine=func_engine)
+        report = differential_check(spec.program(), get_config(spec.config),
+                                    num_threads=spec.threads)
         if report.ok:
             status = f"OK ({report.ops_checked} ops, {report.cycles} cyc)"
         else:
@@ -491,17 +476,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--json", type=str, default=None,
                         help="write raw experiment data as JSON to this file")
     parser.add_argument("--config", type=str, default="base",
-                        help="machine configuration for the 'run' verb")
+                        help="machine configuration for the one-run verbs "
+                             "('run'/'trace'/'profile'/'determinism'/"
+                             "'diff') and 'compiler-tradeoff'")
     parser.add_argument("--threads", type=int, default=1,
-                        help="thread count for the 'run' verb")
+                        help="thread count for the one-run verbs and "
+                             "'compiler-tradeoff'")
     parser.add_argument("--scalar-only", action="store_true",
                         help="use the scalar program flavour "
-                             "('run'/'trace'/'profile' verbs)")
+                             "('run'/'trace'/'profile'/'determinism'/"
+                             "'diff' verbs)")
     parser.add_argument("--strategy", type=str, default="auto",
                         help="vectorization strategy for compiled apps: "
                              "auto | padding | peeling | unroll_jam "
-                             "('run'/'trace'/'profile'/'diff' verbs; see "
-                             "docs/compiler.md)")
+                             "('run'/'trace'/'profile'/'determinism'/"
+                             "'diff' verbs; see docs/compiler.md)")
     parser.add_argument("--strategies", type=str, default=None,
                         help="comma-separated strategy subset for the "
                              "'compiler-tradeoff' sweep (default: all)")
@@ -558,13 +547,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--cache-budget-mb", type=float, default=None,
                         help="LRU size budget for --cache-dir in MB "
                              "('serve' verb; oldest entries evicted)")
-    parser.add_argument("--func-engine", type=str, default="fast",
-                        choices=("reference", "fast"),
-                        help="functional trace-generation engine: "
-                             "'fast' (block-compiled NumPy engine, the "
-                             "default) or 'reference' (the oracle "
-                             "interpreter it is verified bit-identical "
-                             "against; see docs/architecture.md)")
     args = parser.parse_args(argv)
 
     if args.experiments[0] == "lint":
@@ -574,20 +556,34 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(text)
         return 1 if findings else 0
 
-    if args.experiments[0] == "diff":
-        if len(args.experiments) > 2:
-            parser.error("usage: vlt-repro diff [app] [--config C] "
-                         "[--threads N] [--scalar-only] [--apps a,b]")
-        app = args.experiments[1] if len(args.experiments) == 2 else None
-        apps = args.apps.split(",") if args.apps else None
-        text, mismatches = diff_runs(app, config=args.config,
-                                     threads=args.threads,
-                                     scalar_only=args.scalar_only,
-                                     apps=apps,
-                                     func_engine=args.func_engine,
-                                     strategy=args.strategy)
-        print(text)
-        return 1 if mismatches else 0
+    verb = args.experiments[0]
+    if verb in _RUN_USAGE:
+        operands = args.experiments[1:]
+        if len(operands) > 1 or (
+                not operands and verb not in ("determinism", "diff")):
+            parser.error("usage: " + _RUN_USAGE[verb])
+        app = operands[0] if operands else (
+            "mxm" if verb == "determinism" else None)
+        spec = None
+        if app is not None:
+            from ..timing.config import get_config
+            spec = RunSpec(app, get_config(args.config).name, args.threads,
+                           scalar_only=args.scalar_only,
+                           strategy=args.strategy)
+        if verb == "diff":
+            apps = args.apps.split(",") if args.apps else None
+            text, mismatches = diff_runs(spec, apps=apps)
+            print(text)
+            return 1 if mismatches else 0
+        if verb == "run":
+            print(run_single(spec))
+        elif verb == "trace":
+            print(run_trace(spec, out=args.out, max_events=args.max_events))
+        elif verb == "profile":
+            print(run_profile(spec, json_path=args.json))
+        else:
+            print(check_determinism(spec))
+        return 0
 
     if args.experiments[0] == "compiler-tradeoff":
         if len(args.experiments) != 1:
@@ -605,8 +601,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         runs = None
         runner = None
         if (args.jobs > 1 or args.cache_dir or args.timeout is not None
-                or args.verify or args.telemetry or args.progress
-                or args.func_engine != parser.get_default("func_engine")):
+                or args.verify or args.telemetry or args.progress):
             specs = tradeoff_matrix(apps, strategies, config=args.config,
                                     threads=args.threads)
             runner = ExperimentRunner(jobs=args.jobs,
@@ -614,7 +609,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                                       timeout=args.timeout,
                                       retries=args.retries,
                                       verify=args.verify,
-                                      func_engine=args.func_engine,
                                       telemetry=args.telemetry,
                                       progress=args.progress)
             t0 = time.time()
@@ -702,47 +696,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             max_inflight=args.max_inflight,
             cache_budget_bytes=budget))
 
-    if args.experiments[0] == "run":
-        if len(args.experiments) != 2:
-            parser.error("usage: vlt-repro run <app> [--config C] "
-                         "[--threads N]")
-        print(run_single(args.experiments[1], config=args.config,
-                         threads=args.threads,
-                         scalar_only=args.scalar_only,
-                         func_engine=args.func_engine,
-                         strategy=args.strategy))
-        return 0
-
-    if args.experiments[0] == "trace":
-        if len(args.experiments) != 2:
-            parser.error("usage: vlt-repro trace <app> [--out trace.json] "
-                         "[--config C] [--threads N] [--max-events M]")
-        print(run_trace(args.experiments[1], config=args.config,
-                        threads=args.threads,
-                        scalar_only=args.scalar_only, out=args.out,
-                        max_events=args.max_events,
-                        func_engine=args.func_engine,
-                        strategy=args.strategy))
-        return 0
-
-    if args.experiments[0] == "profile":
-        if len(args.experiments) != 2:
-            parser.error("usage: vlt-repro profile <app> [--config C] "
-                         "[--threads N] [--json path]")
-        print(run_profile(args.experiments[1], config=args.config,
-                          threads=args.threads,
-                          scalar_only=args.scalar_only,
-                          json_path=args.json,
-                          func_engine=args.func_engine,
-                          strategy=args.strategy))
-        return 0
-
-    if args.experiments[0] == "determinism":
-        app = args.experiments[1] if len(args.experiments) > 1 else "mxm"
-        print(check_determinism(app, config=args.config,
-                                threads=args.threads))
-        return 0
-
     names = args.experiments
     if names == ["all"]:
         names = EXPERIMENT_NAMES
@@ -774,7 +727,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                                   timeout=args.timeout,
                                   retries=args.retries,
                                   verify=args.verify,
-                                  func_engine=args.func_engine,
                                   telemetry=args.telemetry,
                                   progress=args.progress)
         if args.cache_dir:

@@ -35,7 +35,7 @@ from ..timing.config import (BASE, CMT, V2_CMP, V2_SMT, V4_CMP, V4_CMP_16LANE,
                              VLT_SCALAR, MachineConfig, base_config)
 from ..timing.run import simulate
 from ..timing.stats import DatapathUtilization, RunResult
-from ..workloads import AppCharacteristics, characterize, get_workload
+from ..workloads import AppCharacteristics, characterize
 from ..workloads.characteristics import NO_OPPORTUNITY
 from .runner import MissingRunError, RunSpec
 
@@ -71,16 +71,14 @@ def _run(app: str, cfg: MachineConfig, threads: int,
     failed spec raises :class:`MissingRunError` so the report section
     that needed it can degrade instead of the whole sweep dying.
     """
-    if runs is not None:
-        spec = RunSpec(app=app, config=cfg.name, threads=threads,
-                       scalar_only=scalar_only)
-        result = runs.get(spec)
-        if result is None:
-            raise MissingRunError(spec)
-        return result
-    w = get_workload(app)
-    prog = w.program(scalar_only=scalar_only)
-    return simulate(prog, cfg, num_threads=threads)
+    spec = RunSpec(app=app, config=cfg.name, threads=threads,
+                   scalar_only=scalar_only)
+    if runs is None:
+        return simulate(spec.program(), cfg, num_threads=threads)
+    result = runs.get(spec)
+    if result is None:
+        raise MissingRunError(spec)
+    return result
 
 
 # --------------------------------------------------------------------------

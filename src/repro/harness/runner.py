@@ -53,9 +53,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Union
 
 from ..functional.trace_cache import result_key
+from ..isa.program import Program
 from ..obs.hostprof import PhaseProfiler
 from ..obs.telemetry import (LEDGER_SCHEMA, SpanCollector, Telemetry,
-                             set_span_collector, span)
+                             set_span_collector, span, write_timeline)
 from ..timing import run as timing_run
 from ..timing.config import get_config
 from ..timing.stats import RunResult
@@ -83,6 +84,13 @@ class RunSpec:
         strat = (f", {self.strategy}" if self.strategy != "auto" else "")
         return (f"{self.app} on {self.config} "
                 f"({self.threads} thr{flavour}{strat})")
+
+    def program(self) -> Program:
+        """The workload program this spec runs: the app's cached build
+        for its flavour and vectorization strategy."""
+        from ..workloads import get_workload
+        return get_workload(self.app).program(scalar_only=self.scalar_only,
+                                              strategy=self.strategy)
 
 
 @dataclass
@@ -208,8 +216,7 @@ def _worker_init(cache_dir: Optional[str]) -> None:
 
 
 def _spec_payload(spec: RunSpec, timeout_s: Optional[float],
-                  max_cycles: int, verify: bool,
-                  func_engine: str, prof: PhaseProfiler,
+                  max_cycles: int, verify: bool, prof: PhaseProfiler,
                   ctx: Dict[str, object]) -> Dict[str, object]:
     """The run body: returns a success payload or raises.
 
@@ -218,7 +225,6 @@ def _spec_payload(spec: RunSpec, timeout_s: Optional[float],
     :func:`_execute_spec` can attach them to error payloads too.
     """
     from ..timing.run import simulate
-    from ..workloads import get_workload
 
     with _alarm(timeout_s):
         cache = timing_run.get_trace_cache()
@@ -226,8 +232,7 @@ def _spec_payload(spec: RunSpec, timeout_s: Optional[float],
             ctx["cache"] = cache
             ctx["cache0"] = dict(cache.counters())
         with prof.phase("program_build"):
-            prog = get_workload(spec.app).program(
-                scalar_only=spec.scalar_only, strategy=spec.strategy)
+            prog = spec.program()
         cfg = get_config(spec.config)
         ctx["program_digest"] = prog.digest()
         ctx["config_digest"] = cfg.digest()
@@ -240,10 +245,9 @@ def _spec_payload(spec: RunSpec, timeout_s: Optional[float],
             if hit is not None and not verify:
                 return {"result": hit, "result_cached": True,
                         "trace_cached": None}
-        with span("simulate", func_engine=func_engine):
+        with span("simulate"):
             result = simulate(prog, cfg, num_threads=spec.threads,
-                              max_cycles=max_cycles, profiler=prof,
-                              func_engine=func_engine)
+                              max_cycles=max_cycles, profiler=prof)
         # the profiler only records trace_generation when the functional
         # executor actually ran; absence means cache/memo served it
         trace_cached = "trace_generation" not in prof.phases
@@ -253,7 +257,7 @@ def _spec_payload(spec: RunSpec, timeout_s: Optional[float],
             with prof.phase("differential_check"):
                 report = differential_check(
                     prog, cfg, num_threads=spec.threads,
-                    max_cycles=max_cycles, func_engine=func_engine)
+                    max_cycles=max_cycles)
             if not report.ok:
                 raise DifferentialMismatch(report)
         if cache is not None:
@@ -266,7 +270,6 @@ def _spec_payload(spec: RunSpec, timeout_s: Optional[float],
 def _execute_spec(spec: RunSpec, timeout_s: Optional[float],
                   max_cycles: int,
                   verify: bool = False,
-                  func_engine: str = "fast",
                   telemetry: bool = False) -> Dict[str, object]:
     """Execute one spec; never raises (failures come back as data).
 
@@ -302,9 +305,9 @@ def _execute_spec(spec: RunSpec, timeout_s: Optional[float],
     try:
         try:
             with span("run_attempt", app=spec.app, config=spec.config,
-                      threads=spec.threads, func_engine=func_engine):
+                      threads=spec.threads):
                 payload = _spec_payload(spec, timeout_s, max_cycles,
-                                        verify, func_engine, prof, ctx)
+                                        verify, prof, ctx)
         except Exception as exc:
             payload = {"error": {"type": type(exc).__name__,
                                  "message": str(exc),
@@ -335,24 +338,30 @@ def _execute_spec(spec: RunSpec, timeout_s: Optional[float],
 # --------------------------------------------------------------------------
 
 def run_record(spec: RunSpec, payload: Dict[str, object], attempts: int,
-               func_engine: str,
-               queue_wait_s: Optional[float] = None,
+               t_submit: Optional[float] = None,
                tenant: Optional[str] = None,
                job_id: Optional[str] = None) -> Dict[str, object]:
     """One schema-:data:`LEDGER_SCHEMA` ledger record for an observed
     run-attempt payload.  The :class:`ExperimentRunner` and the job
     service (:mod:`repro.service`) both build their records here so the
     schema lives in exactly one place; ``tenant``/``job_id`` stay None
-    for CLI/runner sweeps.  ``engine`` is always ``"event"``, the only
-    timing engine; the field stays so schema-3 ledgers keep one shape."""
+    for CLI/runner sweeps.  ``queue_wait_s`` is the time from
+    ``t_submit`` to the attempt's start, when both are known.  ``engine``
+    is always ``"event"`` and ``func_engine`` always ``"fast"``, the only
+    timing and trace-generation engines; the fields stay so schema-3
+    ledgers keep one shape."""
     err = payload.get("error")
     result = payload.get("result")
+    t_start = payload.get("t_start")
+    queue_wait = None
+    if t_submit is not None and t_start is not None:
+        queue_wait = max(0.0, float(t_start) - t_submit)
     return {
         "schema": LEDGER_SCHEMA,
         "app": spec.app, "config": spec.config,
         "threads": spec.threads, "scalar_only": spec.scalar_only,
         "engine": "event",
-        "func_engine": func_engine,
+        "func_engine": "fast",
         "attempt": attempts,
         "worker": payload.get("worker"),
         "tenant": tenant,
@@ -361,8 +370,8 @@ def run_record(spec: RunSpec, payload: Dict[str, object], attempts: int,
         "error_type": str(err["type"]) if err else None,
         "cycles": int(result.cycles) if result is not None else None,
         "wall_s": payload.get("wall_s"),
-        "queue_wait_s": queue_wait_s,
-        "t_start": payload.get("t_start"),
+        "queue_wait_s": queue_wait,
+        "t_start": t_start,
         "t_end": payload.get("t_end"),
         "result_cached": bool(payload.get("result_cached")),
         "trace_cached": payload.get("trace_cached"),
@@ -373,35 +382,13 @@ def run_record(spec: RunSpec, payload: Dict[str, object], attempts: int,
     }
 
 
-def crash_record(spec: RunSpec, attempts: int, func_engine: str,
-                 t_submit: Optional[float] = None,
-                 tenant: Optional[str] = None,
-                 job_id: Optional[str] = None) -> Dict[str, object]:
-    """Ledger record for a run whose worker process died outright."""
-    return {
-        "schema": LEDGER_SCHEMA,
-        "app": spec.app, "config": spec.config,
-        "threads": spec.threads, "scalar_only": spec.scalar_only,
-        "engine": "event",
-        "func_engine": func_engine,
-        "attempt": attempts,
-        "worker": None,
-        "tenant": tenant,
-        "job_id": job_id,
-        "outcome": "crash",
-        "error_type": "WorkerCrash",
-        "cycles": None,
-        "wall_s": None,
-        "queue_wait_s": None,
-        "t_start": t_submit,
-        "t_end": time.time(),
-        "result_cached": False,
-        "trace_cached": None,
-        "program_digest": None,
-        "config_digest": None,
-        "phases": {},
-        "cache": None,
-    }
+def crash_record(spec: RunSpec, attempts: int,
+                 t_submit: Optional[float] = None) -> Dict[str, object]:
+    """Ledger record for a run whose worker process died outright: no
+    result, no worker facts, spanning submission to now."""
+    payload = {"error": {"type": "WorkerCrash"}, "t_start": t_submit,
+               "t_end": time.time()}
+    return dict(run_record(spec, payload, attempts), outcome="crash")
 
 
 # --------------------------------------------------------------------------
@@ -436,7 +423,7 @@ class ExperimentRunner:
     def __init__(self, jobs: int = 1, cache_dir: Optional[str] = None,
                  timeout: Optional[float] = None, retries: int = 2,
                  max_cycles: int = DEFAULT_MAX_CYCLES,
-                 verify: bool = False, func_engine: str = "fast",
+                 verify: bool = False,
                  telemetry: Union[Telemetry, str, None] = None,
                  progress: bool = False) -> None:
         if jobs < 1:
@@ -448,15 +435,11 @@ class ExperimentRunner:
             # a `--timeout 0` typo would silently disable the limit.
             raise ValueError(
                 "timeout must be > 0 seconds; use None for no limit")
-        from ..functional.fast import validate_func_engine
-        validate_func_engine(func_engine)
         self.jobs = jobs
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
         self.timeout = timeout
         self.retries = retries
         self.max_cycles = max_cycles
-        #: functional trace-generation engine ("fast" or "reference")
-        self.func_engine = func_engine
         #: differentially validate every run (functional vs timing); a
         #: mismatch is a structured, non-retryable failure
         self.verify = verify
@@ -503,8 +486,7 @@ class ExperimentRunner:
         if self.telemetry is not None:
             prev_col = set_span_collector(SpanCollector(worker="parent"))
         try:
-            with span("sweep", jobs=self.jobs, specs=len(ordered),
-                      func_engine=self.func_engine):
+            with span("sweep", jobs=self.jobs, specs=len(ordered)):
                 if self.jobs == 1:
                     self._run_serial(ordered)
                 else:
@@ -514,7 +496,7 @@ class ExperimentRunner:
                 col = set_span_collector(prev_col)
                 if col is not None:
                     self.telemetry.add_spans("parent", col.spans)
-                self.telemetry.write_timeline()
+                write_timeline(self.telemetry.dir)
             if self.progress and ordered:
                 sys.stderr.write("\n")
                 sys.stderr.flush()
@@ -569,7 +551,8 @@ class ExperimentRunner:
                 message="worker process died (killed or crashed) while "
                         "executing this run", attempts=attempts))
         if self.telemetry is not None:
-            self.telemetry.record(self._crash_record(spec, attempts))
+            self.telemetry.record(crash_record(
+                spec, attempts, t_submit=self._submit_t.get(spec)))
 
     # -- telemetry plumbing --------------------------------------------------
 
@@ -584,26 +567,12 @@ class ExperimentRunner:
             self.cache_counters[k] = self.cache_counters.get(k, 0) + int(v)
         if self.telemetry is None:
             return
-        self.telemetry.record(self._run_record(spec, payload, attempts))
+        self.telemetry.record(run_record(
+            spec, payload, attempts, t_submit=self._submit_t.get(spec)))
         spans = payload.get("spans")
         if spans:
             self.telemetry.add_spans(
                 str(payload.get("worker", "?")), spans)
-
-    def _run_record(self, spec: RunSpec, payload: Dict[str, object],
-                    attempts: int) -> Dict[str, object]:
-        t_submit = self._submit_t.get(spec)
-        t_start = payload.get("t_start")
-        queue_wait = None
-        if t_submit is not None and t_start is not None:
-            queue_wait = max(0.0, float(t_start) - t_submit)
-        return run_record(spec, payload, attempts, self.func_engine,
-                          queue_wait_s=queue_wait)
-
-    def _crash_record(self, spec: RunSpec,
-                      attempts: int) -> Dict[str, object]:
-        return crash_record(spec, attempts, self.func_engine,
-                            t_submit=self._submit_t.get(spec))
 
     def _progress_tick(self, final: bool) -> None:
         if final:
@@ -640,7 +609,7 @@ class ExperimentRunner:
             for attempt in range(1, self.retries + 2):
                 self._submit_t[spec] = time.time()
                 payload = _execute_spec(spec, self.timeout, self.max_cycles,
-                                        self.verify, self.func_engine,
+                                        self.verify,
                                         self.telemetry is not None)
                 self._note_attempt(spec, payload, attempt)
                 done = self._record(spec, payload, attempt) \
@@ -685,7 +654,7 @@ class ExperimentRunner:
                     self._submit_t[s] = time.time()
                     futs[pool.submit(_execute_spec, s, self.timeout,
                                      self.max_cycles, self.verify,
-                                     self.func_engine, telemetry)] = s
+                                     telemetry)] = s
                 not_done = set(futs)
                 while not_done:
                     done, not_done = wait(not_done,
@@ -743,7 +712,7 @@ class ExperimentRunner:
                         initargs=(cache_dir,)) as pool:
                     payload = pool.submit(
                         _execute_spec, spec, self.timeout,
-                        self.max_cycles, self.verify, self.func_engine,
+                        self.max_cycles, self.verify,
                         self.telemetry is not None).result()
             except BrokenProcessPool:
                 self._record_crash(spec, attempts)

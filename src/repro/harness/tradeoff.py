@@ -38,10 +38,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..compiler import STRATEGY_NAMES
+from ..isa.program import Program
 from ..isa.registers import MVL
 from ..timing.config import get_config
 from ..timing.run import simulate, trace_for
-from ..workloads import compiled_workload_names, get_workload
+from ..workloads import compiled_workload_names
 from . import report as R
 from .runner import MissingRunError, RunSpec
 from .experiments import RunMap
@@ -166,24 +167,24 @@ def compiler_tradeoff(apps: Optional[Sequence[str]] = None,
     #: mirroring what the runner's content-addressed result cache does
     inline_cycles: Dict[str, int] = {}
 
-    def _cycles(spec: RunSpec, digest: str) -> int:
+    def _cycles(spec: RunSpec, prog: Program) -> int:
         if runs is not None:
             result = runs.get(spec)
             if result is None:
                 raise MissingRunError(spec)
             return result.cycles
+        digest = prog.digest()
         if digest not in inline_cycles:
             inline_cycles[digest] = simulate(
-                get_workload(spec.app).program(strategy=spec.strategy),
-                cfg, num_threads=spec.threads).cycles
+                prog, cfg, num_threads=spec.threads).cycles
         return inline_cycles[digest]
 
     cells: Dict[Tuple[str, str], StrategyCell] = {}
     for app in apps:
-        w = get_workload(app)
         digests: Dict[str, str] = {}
         for strat in strategies:
-            prog = w.program(strategy=strat)
+            spec = RunSpec(app, cfg.name, threads, strategy=strat)
+            prog = spec.program()
             digest = prog.digest()
             aliases = next((s for s, d in digests.items() if d == digest),
                            None)
@@ -197,9 +198,7 @@ def compiler_tradeoff(apps: Optional[Sequence[str]] = None,
             uniq, cnt = np.unique(vls, return_counts=True)
             cells[(app, strat)] = StrategyCell(
                 app=app, strategy=strat, digest=digest,
-                cycles=_cycles(
-                    RunSpec(app, cfg.name, threads, strategy=strat),
-                    digest),
+                cycles=_cycles(spec, prog),
                 instrs=len(prog.instrs),
                 vl_hist={int(v): int(c) for v, c in zip(uniq, cnt)},
                 counts=trace.merged_counts(),

@@ -7,7 +7,7 @@ the content-addressed :class:`~repro.functional.trace_cache.TraceCache`
 and the timing replay.  Four pieces, all host-wall-clock:
 
 * **Spans** -- lightweight nested intervals
-  (``with span("simulate", func_engine="fast"):``) recorded into an
+  (``with span("run_attempt", app="mpenc"):``) recorded into an
   ambient per-process :class:`SpanCollector`.  When no collector is
   installed (the default) a span is a bare ``perf_counter`` pair and
   records nothing.  :class:`~repro.obs.hostprof.PhaseProfiler` times its
@@ -266,6 +266,7 @@ class Telemetry:
                                remapped ``id``/``parent`` and a
                                ``worker`` track label
         <dir>/timeline.json    Chrome trace-event export of the spans
+                               (:func:`write_timeline`)
 
     Only the parent process writes; workers ship their spans back inside
     the run payloads.
@@ -276,7 +277,6 @@ class Telemetry:
         self.dir.mkdir(parents=True, exist_ok=True)
         self.ledger_path = self.dir / "ledger.jsonl"
         self.spans_path = self.dir / "spans.jsonl"
-        self.timeline_path = self.dir / "timeline.json"
         self._ledger = JsonlWriter(self.ledger_path)
         self._spans = JsonlWriter(self.spans_path)
         self._span_seq = len(read_jsonl(self.spans_path))
@@ -306,16 +306,6 @@ class Telemetry:
 
     def reader(self) -> "TelemetryReader":
         return TelemetryReader.from_path(self.ledger_path)
-
-    def write_timeline(self, path=None) -> int:
-        """Export the span store as Chrome trace JSON; returns the
-        number of span records written."""
-        out = Path(path) if path is not None else self.timeline_path
-        spans = read_jsonl(self.spans_path)
-        doc = spans_to_chrome_trace(_group_spans(spans))
-        with open(out, "w") as fh:
-            json.dump(doc, fh)
-        return sum(1 for r in doc["traceEvents"] if r["ph"] != "M")
 
     def close(self) -> None:
         self._ledger.close()
@@ -371,8 +361,10 @@ def spans_to_chrome_trace(spans_by_worker: Mapping[
 
 
 def write_timeline(telemetry_dir, out_path=None) -> int:
-    """Rebuild ``timeline.json`` from a telemetry directory's span store
-    (the ``vlt-repro tele timeline`` verb); returns the record count."""
+    """Export a telemetry directory's span store as Chrome trace JSON
+    (default ``<dir>/timeline.json``: what a sweep writes at its end and
+    the ``vlt-repro tele timeline`` verb rebuilds); returns the number of
+    span records written."""
     tele_dir = Path(telemetry_dir)
     spans = read_jsonl(tele_dir / "spans.jsonl")
     doc = spans_to_chrome_trace(_group_spans(spans))

@@ -38,7 +38,6 @@ class JobRequest:
     config: str
     threads: int = 1
     scalar_only: bool = False
-    func_engine: str = "fast"
     max_cycles: int = DEFAULT_MAX_CYCLES
 
     @classmethod
@@ -52,7 +51,7 @@ class JobRequest:
         if not isinstance(body, Mapping):
             raise BadRequest("request body must be a JSON object")
         unknown = set(body) - {"app", "config", "threads", "scalar_only",
-                               "func_engine", "max_cycles", "tenant"}
+                               "max_cycles", "tenant"}
         if unknown:
             raise BadRequest(f"unknown fields: {sorted(unknown)}")
         app = body.get("app")
@@ -70,15 +69,9 @@ class JobRequest:
         if not isinstance(max_cycles, int) or isinstance(max_cycles, bool) \
                 or max_cycles < 1:
             raise BadRequest("'max_cycles' must be a positive integer")
-        func_engine = body.get("func_engine", "fast")
-        from ..functional.fast import validate_func_engine
-        try:
-            validate_func_engine(func_engine)
-        except ValueError as exc:
-            raise BadRequest(str(exc)) from None
         return cls(app=app, config=config, threads=threads,
                    scalar_only=bool(body.get("scalar_only", False)),
-                   func_engine=func_engine, max_cycles=max_cycles)
+                   max_cycles=max_cycles)
 
     def spec(self) -> RunSpec:
         return RunSpec(self.app, self.config, self.threads,
@@ -144,7 +137,6 @@ class Job:
                 "app": self.request.app, "config": self.request.config,
                 "threads": self.request.threads,
                 "scalar_only": self.request.scalar_only,
-                "func_engine": self.request.func_engine,
                 "max_cycles": self.request.max_cycles,
             },
         }

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..harness.runner import RunSpec, _execute_spec, run_record
-from ..obs.telemetry import Telemetry, TelemetryReader
+from ..obs.telemetry import Telemetry, TelemetryReader, write_timeline
 from ..timing import run as timing_run
 from .jobs import BadRequest, Job, JobRequest, job_key
 from .ratelimit import TenantGovernor
@@ -188,7 +188,7 @@ class SimulationService:
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
         if self.telemetry is not None:
-            self.telemetry.write_timeline()
+            write_timeline(self.telemetry.dir)
             self.telemetry.close()
 
     # -- submission path -----------------------------------------------------
@@ -205,14 +205,10 @@ class SimulationService:
         memo_key = (request.app, request.scalar_only)
         program_digest = self._digest_memo.get(memo_key)
         if program_digest is None:
-            def _build() -> str:
-                from ..workloads import get_workload
-                prog = get_workload(request.app).program(
-                    scalar_only=request.scalar_only)
-                return prog.digest()
             try:
                 program_digest = await asyncio.get_running_loop() \
-                    .run_in_executor(self._pool, _build)
+                    .run_in_executor(
+                        self._pool, lambda: request.spec().program().digest())
             except KeyError as exc:
                 raise BadRequest(f"unknown app: {exc}") from None
             except ValueError as exc:   # e.g. no scalar flavour
@@ -310,8 +306,7 @@ class SimulationService:
             attempts += 1
             fut = loop.run_in_executor(
                 self._pool, _execute_spec, spec, cfg.timeout,
-                flight.request.max_cycles, False,
-                flight.request.func_engine, False)
+                flight.request.max_cycles, False, False)
             try:
                 if cfg.timeout is not None:
                     payload = await asyncio.wait_for(
@@ -359,13 +354,8 @@ class SimulationService:
                 self.counters["simulated_runs"] += 1
         if self.telemetry is None:
             return
-        t_start = payload.get("t_start")
-        queue_wait = None
-        if t_start is not None:
-            queue_wait = max(0.0, float(t_start) - flight.enqueued_at)
         rec = run_record(flight.request.spec(), payload, attempts,
-                         flight.request.func_engine,
-                         queue_wait_s=queue_wait,
+                         t_submit=flight.enqueued_at,
                          tenant=primary.tenant, job_id=primary.id)
         rec["worker"] = label
         self.telemetry.record(rec)

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..functional.trace import ProgramTrace, ThreadTrace
 from ..obs.events import (BARRIER_ARRIVE, BARRIER_RELEASE, Event, EventBus,
-                          ISSUE, LANE_ISSUE, VISSUE, VLCFG)
+                          VLCFG)
 from .config import MachineConfig
 from .l2 import BankedL2
 from .lane_core import LaneCore
@@ -32,21 +32,6 @@ _FAR_FUTURE = 1 << 62
 
 class SimulationError(Exception):
     """Raised when a run exceeds its cycle budget (likely a model bug)."""
-
-
-class _LegacyHookSink:
-    """Adapts the historic ``hook(cycle, unit, kind, dynop)`` callable to
-    the event bus; lane issues keep their legacy ``"issue"`` kind."""
-
-    _KIND = {ISSUE: "issue", VISSUE: "vissue", LANE_ISSUE: "issue"}
-
-    def __init__(self, hook) -> None:
-        self._hook = hook
-
-    def on_event(self, event: Event) -> None:
-        kind = self._KIND.get(event.kind)
-        if kind is not None:
-            self._hook(event.cycle, event.unit, kind, event.dynop)
 
 
 class Machine:
@@ -62,7 +47,7 @@ class Machine:
     """
 
     def __init__(self, cfg: MachineConfig, threads: List[ThreadTrace],
-                 max_cycles: int = 50_000_000, hook=None,
+                 max_cycles: int = 50_000_000,
                  obs: Optional[EventBus] = None):
         self.cfg = cfg
         self.num_threads = len(threads)
@@ -70,11 +55,6 @@ class Machine:
         #: observability event bus; a fresh disabled bus (the null-sink
         #: fast path) unless the caller supplies one with sinks attached
         self.obs = obs if obs is not None else EventBus()
-        #: legacy event hook ``hook(cycle, unit, kind, dynop)``, adapted
-        #: onto the event bus (see :mod:`repro.timing.pipeview`)
-        self.hook = hook
-        if hook is not None:
-            self.obs.attach(_LegacyHookSink(hook))
         self.l2 = BankedL2(cfg.l2, bus=self.obs)
         self.sus: List[ScalarUnit] = [
             ScalarUnit(self, i, su_cfg, self.l2)

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..functional.trace import DynOp
 from ..isa.program import Program
 from ..obs.events import Event, EventBus, ISSUE, LANE_ISSUE, VISSUE
 from .config import MachineConfig
@@ -45,13 +44,11 @@ class PipeEvent:
 class PipeView:
     """Bounded collector of pipeline issue events (an event-bus sink).
 
-    Attach it to an :class:`~repro.obs.events.EventBus` (what
-    :func:`simulate_with_pipeview` does), or pass it as the legacy
-    ``hook=`` argument of :class:`~repro.timing.machine.Machine` --
-    both feed the same collector.
+    Attach it to an :class:`~repro.obs.events.EventBus`, as
+    :func:`simulate_with_pipeview` does.
     """
 
-    #: legacy kind labels, kept stable for renderings and callers
+    #: kind labels of the renderings; lane issues read as "issue"
     _KIND = {ISSUE: "issue", VISSUE: "vissue", LANE_ISSUE: "issue"}
 
     def __init__(self, max_events: int = 1000,
@@ -64,16 +61,11 @@ class PipeView:
     # event-bus sink interface
     def on_event(self, event: Event) -> None:
         kind = self._KIND.get(event.kind)
-        if kind is not None:
-            self(event.cycle, event.unit, kind, event.dynop)
-
-    # the legacy Machine hook signature
-    def __call__(self, cycle: int, unit: str, kind: str,
-                 dynop: DynOp) -> None:
-        if self._full or cycle < self.start_cycle:
+        if kind is None or self._full or event.cycle < self.start_cycle:
             return
-        self.events.append(PipeEvent(cycle, unit, kind, dynop.op,
-                                     dynop.pc, dynop.vl))
+        op = event.dynop
+        self.events.append(PipeEvent(event.cycle, event.unit, kind, op.op,
+                                     op.pc, op.vl))
         if len(self.events) >= self.max_events:
             self._full = True
 

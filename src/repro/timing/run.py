@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from ..functional.executor import Executor
-from ..functional.fast import FastExecutor, validate_func_engine
+from ..functional.fast import FastExecutor
 from ..functional.trace import ProgramTrace
 from ..functional.trace_cache import TraceCache
 from ..isa.program import Program
@@ -75,8 +74,7 @@ def set_default_profiler(profiler: Optional[PhaseProfiler]) -> None:
 
 def trace_for(program: Program, num_threads: int,
               max_ops: int = 20_000_000,
-              profiler: Optional[PhaseProfiler] = None,
-              func_engine: str = "fast") -> ProgramTrace:
+              profiler: Optional[PhaseProfiler] = None) -> ProgramTrace:
     """Functional trace of ``program`` with ``num_threads`` (memoised).
 
     The cache key is the program's *content digest*
@@ -85,15 +83,12 @@ def trace_for(program: Program, num_threads: int,
     cache, and -- when :func:`set_trace_cache_dir` enabled one -- traces
     are also served from / stored to the on-disk cache.
 
-    ``func_engine`` picks the trace-generation engine: ``"fast"`` (the
-    block-compiled engine, the default) or ``"reference"`` (the oracle
-    interpreter it is verified bit-identical against).  The engine does
-    not enter the cache key: both produce byte-identical traces, so a
-    trace generated by either serves requests for both.
+    A miss runs the block-compiled :class:`FastExecutor`.  Its traces are
+    byte-identical to the reference interpreter's, which stays the
+    oracle (:func:`repro.verify.differential_check`).
     """
     if profiler is None:
         profiler = _default_profiler
-    validate_func_engine(func_engine)
     key = (program.digest(), num_threads)
     cached = _trace_cache.get(key)
     if cached is not None:
@@ -108,9 +103,8 @@ def trace_for(program: Program, num_threads: int,
         if trace is not None:
             _trace_cache[key] = trace
             return trace
-    cls = FastExecutor if func_engine == "fast" else Executor
-    ex = cls(program, num_threads=num_threads, record_trace=True,
-             max_ops=max_ops)
+    ex = FastExecutor(program, num_threads=num_threads, record_trace=True,
+                      max_ops=max_ops)
     if profiler is None:
         trace = ex.run()
     else:
@@ -140,21 +134,17 @@ def simulate(program: Program, cfg: MachineConfig, num_threads: int = 1,
              max_cycles: int = 50_000_000,
              trace: Optional[ProgramTrace] = None,
              obs: Optional[EventBus] = None,
-             profiler: Optional[PhaseProfiler] = None,
-             func_engine: str = "fast") -> RunResult:
+             profiler: Optional[PhaseProfiler] = None) -> RunResult:
     """Run ``program`` on machine ``cfg`` and return timing results.
 
     ``obs`` attaches an observability event bus (see :mod:`repro.obs`);
     ``profiler`` records host-side wall time per simulation phase.
-    Neither affects simulated cycle counts.  ``func_engine`` picks the
-    trace-generation engine (``"fast"``, the default, or
-    ``"reference"``; verified bit-identical).
+    Neither affects simulated cycle counts.
     """
     if profiler is None:
         profiler = _default_profiler
     if trace is None:
-        trace = trace_for(program, num_threads, profiler=profiler,
-                          func_engine=func_engine)
+        trace = trace_for(program, num_threads, profiler=profiler)
     elif trace.num_threads != num_threads:
         raise ValueError("supplied trace has a different thread count")
     return run_traces(cfg, trace, max_cycles=max_cycles, obs=obs,
@@ -178,8 +168,7 @@ def simulate_traced(program: Program, cfg: MachineConfig,
                     trace: Optional[ProgramTrace] = None,
                     max_events: int = 1_000_000,
                     kinds: Optional[frozenset] = None,
-                    start_cycle: int = 0,
-                    func_engine: str = "fast") -> TracedRun:
+                    start_cycle: int = 0) -> TracedRun:
     """Run with the full observability stack attached.
 
     Wires an :class:`EventLog` (for exporters), a :class:`MetricsSink`
@@ -197,7 +186,7 @@ def simulate_traced(program: Program, cfg: MachineConfig,
     prof = PhaseProfiler()
     result = simulate(program, cfg, num_threads=num_threads,
                       max_cycles=max_cycles, trace=trace, obs=bus,
-                      profiler=prof, func_engine=func_engine)
+                      profiler=prof)
     result.metrics = sink.registry
     return TracedRun(result=result, events=log, metrics=sink.registry,
                      metrics_sink=sink, profiler=prof)

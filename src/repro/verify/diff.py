@@ -7,13 +7,13 @@ for any (program, config, threads) run it independently re-derives what
 the timing machine *should* have replayed and diffs four surfaces:
 
 1. **trace** -- a fresh reference execution against the trace the
-   timing machine consumes (generated by the engine under test, or
+   timing machine consumes (generated afresh by the fast engine, or
    supplied by the caller, e.g. a cached one): catches engine
    disagreement, stale or corrupt cache entries and trace
    (de)serialization bugs, op by op;
-2. **state / memory** -- two independent functional executions must
-   produce bit-identical final registers, vector state, and memory:
-   catches executor nondeterminism;
+2. **state / memory** -- the reference and the fast engine, each run
+   independently, must produce bit-identical final registers, vector
+   state, and memory: catches engine disagreement and nondeterminism;
 3. **commit** -- every dispatchable op of every thread must be observed
    exactly once in the timing machine's committed-op event streams
    (in program order for scalar-unit ROB commits; set-semantics for
@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..functional.executor import Executor
-from ..functional.fast import FastExecutor, validate_func_engine
+from ..functional.fast import FastExecutor
 from ..functional.trace import DynOp, ProgramTrace
 from ..isa.program import Program
 from ..obs.events import COMMIT, EventBus, LANE_ISSUE, VISSUE
@@ -294,33 +294,31 @@ def _expect_once(expected: List[int], got: List[int], ops,
 def differential_check(program: Program, cfg: MachineConfig,
                        num_threads: int = 1,
                        max_cycles: int = 50_000_000,
-                       trace: Optional[ProgramTrace] = None,
-                       func_engine: str = "fast") -> DiffReport:
+                       trace: Optional[ProgramTrace] = None) -> DiffReport:
     """Cross-check one timing run against the functional executor.
 
-    ``func_engine`` names the functional engine under test (the
-    reference interpreter or :class:`FastExecutor`).  It generates the
-    trace under test -- always afresh, bypassing the trace memo and the
-    disk cache, so the named engine really runs -- and the second
-    functional execution of the state diff.  With ``"fast"`` the trace,
-    final-state and memory diffs are fast-vs-reference comparisons.
-    ``trace`` overrides the trace under test (e.g. a cached one).
-    Returns a :class:`DiffReport`; ``report.ok`` means full agreement.
+    The engine under test is :class:`FastExecutor`, the one that
+    generates every production trace.  It generates the trace under
+    test -- always afresh, bypassing the trace memo and the disk cache,
+    so it really runs -- and the second functional execution of the
+    state diff, so the trace, final-state and memory diffs are
+    fast-vs-reference comparisons against the reference
+    :class:`Executor`, the oracle.  ``trace`` overrides the trace under
+    test (e.g. a cached one).  Returns a :class:`DiffReport`;
+    ``report.ok`` means full agreement.
     """
-    validate_func_engine(func_engine)
-    engine = FastExecutor if func_engine == "fast" else Executor
     report = DiffReport(program_name=program.name, config_name=cfg.name,
                         num_threads=num_threads)
     if trace is not None:
         tut = trace
     else:
-        tut = engine(program, num_threads=num_threads,
-                     record_trace=True).run()
+        tut = FastExecutor(program, num_threads=num_threads,
+                           record_trace=True).run()
 
     # 1/2: independent functional executions -- trace + state agreement
     ex1 = Executor(program, num_threads=num_threads, record_trace=True)
     ref_trace = ex1.run()
-    ex2 = engine(program, num_threads=num_threads, record_trace=False)
+    ex2 = FastExecutor(program, num_threads=num_threads, record_trace=False)
     ex2.run()
     _diff_traces(ref_trace, tut, report)
     _diff_final_state(ex1, ex2, report)

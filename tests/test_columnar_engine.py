@@ -14,6 +14,7 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.functional import Executor
 from repro.functional.trace import (MAX_PC, TraceInvariantError,
                                     trace_from_bytes, trace_to_bytes)
 from repro.functional.trace_cache import TraceCache
@@ -188,8 +189,8 @@ class TestReplayForm:
         prog = get_workload(spec.app).program(scalar_only=spec.scalar_only)
         cfg = get_config(spec.config)
         default = simulate(prog, cfg, num_threads=spec.threads)
-        clear_trace_cache()
+        oracle = Executor(prog, num_threads=spec.threads).run()
         reference = simulate(prog, cfg, num_threads=spec.threads,
-                             func_engine="reference")
+                             trace=oracle)
         assert reference == default
         assert not goldens.mismatches({spec: default})

@@ -11,15 +11,14 @@ error behaviour, across the full figure-3/5/6 run matrix.  The
 import numpy as np
 import pytest
 
-from repro.functional import (ExecutionError, Executor, FUNC_ENGINES,
-                              FastExecutor, run_program_fast,
-                              trace_from_bytes, trace_to_bytes,
-                              validate_func_engine)
+from repro.functional import (ExecutionError, Executor, FastExecutor,
+                              run_program_fast, trace_from_bytes,
+                              trace_to_bytes)
 from repro.harness import experiments as E
 from repro.isa import ProgramBuilder, S, V, assemble
 from repro.isa.registers import MVL
 from repro.timing.config import BASE
-from repro.timing.run import clear_trace_cache, simulate, trace_for
+from repro.timing.run import clear_trace_cache, simulate
 from repro.verify import differential_check
 from repro.workloads import get_workload
 
@@ -50,40 +49,21 @@ def _assert_identical(ref, ref_trace, fast, fast_trace):
 
 
 # --------------------------------------------------------------------------
-# Engine selection plumbing
+# The fast engine's traces against the oracle's, end to end
 # --------------------------------------------------------------------------
 
 class TestEngineSelection:
-    def test_engines_tuple(self):
-        assert FUNC_ENGINES == ("reference", "fast")
-
-    def test_validate_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown functional engine"):
-            validate_func_engine("turbo")
-        for engine in FUNC_ENGINES:
-            assert validate_func_engine(engine) == engine
-
-    def test_trace_for_rejects_unknown(self):
-        prog = get_workload("mpenc").program()
-        with pytest.raises(ValueError, match="unknown functional engine"):
-            trace_for(prog, 1, func_engine="turbo")
-
-    def test_runner_rejects_unknown(self):
-        from repro.harness.runner import ExperimentRunner
-        with pytest.raises(ValueError, match="unknown functional engine"):
-            ExperimentRunner(func_engine="turbo")
-
     def test_simulate_accepts_fast(self):
+        """The oracle's trace, replayed, times like the default run of
+        the fast engine's trace."""
         prog = get_workload("mpenc").program()
+        reference = Executor(prog, num_threads=1).run()
         clear_trace_cache()
-        r_ref = simulate(prog, BASE, func_engine="reference")
-        clear_trace_cache()
-        r_fast = simulate(prog, BASE, func_engine="fast")
-        assert r_ref == r_fast
+        assert simulate(prog, BASE, trace=reference) == simulate(prog, BASE)
 
     def test_differential_check_fast(self):
         prog = get_workload("mpenc").program()
-        report = differential_check(prog, BASE, func_engine="fast")
+        report = differential_check(prog, BASE)
         assert report.ok, report.render()
 
 
@@ -305,7 +285,7 @@ def _executor_for(engine):
     return FastExecutor if engine == "fast" else Executor
 
 
-@pytest.mark.parametrize("engine", FUNC_ENGINES)
+@pytest.mark.parametrize("engine", ("reference", "fast"))
 class TestSemanticCorners:
     def _run(self, engine, setup, n=8, xi=None):
         rng = np.random.default_rng(7)

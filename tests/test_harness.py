@@ -188,6 +188,44 @@ class TestObservabilityCli:
         assert main(["determinism", "sage"]) == 0
         assert "determinism OK" in capsys.readouterr().out
 
+    def test_determinism_verb_runs_the_requested_flavour(self, monkeypatch):
+        """--scalar-only and --strategy pick the program `determinism`
+        simulates, as they do for `run`: radix's scalar flavour on CMT
+        (no vector unit) and trfd's peeled code.  The four runs are
+        stubbed; the program handed to them is what counts."""
+        import dataclasses
+        from types import SimpleNamespace
+        import repro.timing as T
+        from repro.harness.cli import main
+        from repro.workloads import get_workload
+
+        @dataclasses.dataclass
+        class Result:
+            cycles: int = 1
+            metrics: object = None
+
+        seen = []
+
+        def simulate(prog, cfg, num_threads=1, **kwargs):
+            seen.append((prog.digest(), cfg.name, num_threads))
+            return Result()
+
+        monkeypatch.setattr(T, "simulate", simulate)
+        monkeypatch.setattr(T, "simulate_traced", lambda *a, **kw:
+                            SimpleNamespace(result=simulate(*a, **kw)))
+        radix = get_workload("radix")
+        scalar = radix.program(scalar_only=True).digest()
+        assert scalar != radix.program().digest()
+        assert main(["determinism", "radix", "--config", "CMT",
+                     "--threads", "4", "--scalar-only"]) == 0
+        assert seen == [(scalar, "CMT", 4)] * 4
+        seen.clear()
+        trfd = get_workload("trfd")
+        peeled = trfd.program(strategy="peeling").digest()
+        assert peeled != trfd.program().digest()
+        assert main(["determinism", "trfd", "--strategy", "peeling"]) == 0
+        assert seen == [(peeled, "base", 1)] * 4
+
 
 class TestRenderHelpers:
     def test_bar_scaling(self):

@@ -73,6 +73,7 @@ class TestTruncationSurfacing:
 
     def test_cli_metrics_summary_mentions_truncation(self):
         from repro.harness.cli import run_trace
-        text = run_trace("mpenc", max_events=50)
+        from repro.harness.runner import RunSpec
+        text = run_trace(RunSpec("mpenc", "base"), max_events=50)
         assert "event log: TRUNCATED at 50 events" in text
         assert "dropped" in text

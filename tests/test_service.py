@@ -109,6 +109,7 @@ class TestJobRequest:
         {"app": "mpenc", "config": "base", "func_engine": "psychic"},
         {"app": "mpenc", "config": "base", "frobnicate": 1},
         {"app": "mpenc", "config": "base", "engine": "event"},  # no choice
+        {"app": "mpenc", "config": "base", "func_engine": "fast"},  # ditto
     ])
     def test_rejected_bodies(self, body):
         with pytest.raises(BadRequest):

@@ -162,8 +162,7 @@ class TestLedger:
                 f"{key}: {type(got).__name__} != {type(want).__name__}"
 
     def test_func_engine_recorded(self, tmp_path):
-        r = ExperimentRunner(jobs=1, func_engine="fast",
-                             telemetry=tmp_path / "tele")
+        r = ExperimentRunner(jobs=1, telemetry=tmp_path / "tele")
         r.run([_SPECS[0]])
         recs = read_jsonl(tmp_path / "tele" / "ledger.jsonl")
         assert [rec["func_engine"] for rec in recs] == ["fast"]

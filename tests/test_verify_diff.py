@@ -89,8 +89,8 @@ class TestAgreement:
 
 
 class TestEngineUnderTest:
-    """The checker generates the trace under test with the engine it
-    names, whatever the trace memo already holds."""
+    """The checker generates the trace under test with the fast engine,
+    whatever the trace memo already holds."""
 
     @staticmethod
     def _count_engines(monkeypatch):
@@ -106,21 +106,16 @@ class TestEngineUnderTest:
             monkeypatch.setattr(D, name, spy)
         return made
 
-    @pytest.mark.parametrize("engine,expected", [
-        ("reference", {"reference": 3, "fast": 0}),
-        ("fast", {"reference": 1, "fast": 2})])
-    def test_named_engine_runs_despite_memo(self, monkeypatch, engine,
-                                            expected):
+    def test_engine_under_test_runs_despite_memo(self, monkeypatch):
         from repro.timing.run import trace_for
         prog = _prog()
-        trace_for(prog, 1, func_engine="fast")   # memo holds a fast trace
+        trace_for(prog, 1)   # memo holds a fast trace
         made = self._count_engines(monkeypatch)
-        report = differential_check(prog, get_config("base"),
-                                    func_engine=engine)
+        report = differential_check(prog, get_config("base"))
         assert report.ok, report.render()
-        # the trace under test, the reference trace, the state diff's
-        # second execution
-        assert made == expected
+        # the fast engine's trace under test and the state diff's
+        # second execution, and the reference trace
+        assert made == {"reference": 1, "fast": 2}
 
 
 class TestInjectedBug:
