@@ -1,6 +1,7 @@
 """Lane-core (scalar threads on lanes) timing model."""
 
 import collections
+import json
 
 import pytest
 
@@ -18,6 +19,11 @@ from tests import goldens
 _OCEAN_EVENTS = 184_168
 _OCEAN_DIGEST = \
     "633c4daf0e54b4cc46e40b0e68c66a2522e9da2f19b2d75d3457042e2ef2fdc1"
+#: barnes on VLT-scalar (8 threads), recorded before the per-pc slip
+#: records and due-lane stepping
+_BARNES_EVENTS = 147_334
+_BARNES_DIGEST = \
+    "01166fbe290532c1914fe566faa6a35278bc53b7bd2dd9286250d561ce7d4233"
 
 
 def run_lanes(src, threads=1, cfg=VLT_SCALAR):
@@ -231,19 +237,32 @@ class TestAgainstCMT:
         assert sum(su.issued for su in r.scalar_units) > 800
 
 
-@pytest.fixture(scope="module")
-def ocean_lanes():
-    prog = get_workload("ocean").program(scalar_only=True)
+def _traced_lanes(app):
+    prog = get_workload(app).program(scalar_only=True)
     return simulate_traced(prog, VLT_SCALAR, num_threads=8,
                            max_events=1_000_000)
 
 
+def _assert_stream(app, traced, events, digest):
+    """The traced run's event stream equals its pin, and its result
+    equals the untraced Figure 6 golden."""
+    log = traced.events
+    assert log.dropped == 0
+    assert len(log.events) == events
+    assert goldens.events_digest(log) == digest
+    golden = json.loads(goldens.GOLDEN_PATH.read_text())
+    key = f"{app} on VLT-scalar (8 thr, scalar)"
+    assert goldens.record(traced.result) == golden[key]
+
+
+@pytest.fixture(scope="module")
+def ocean_lanes():
+    return _traced_lanes("ocean")
+
+
 class TestOceanEventStream:
     def test_stream_matches_golden(self, ocean_lanes):
-        log = ocean_lanes.events
-        assert log.dropped == 0
-        assert len(log.events) == _OCEAN_EVENTS
-        assert goldens.events_digest(log) == _OCEAN_DIGEST
+        _assert_stream("ocean", ocean_lanes, _OCEAN_EVENTS, _OCEAN_DIGEST)
 
     @pytest.mark.xfail(strict=True, reason=(
         "LaneCore.step hands _slip its remaining memory slots, not its "
@@ -256,3 +275,9 @@ class TestOceanEventStream:
         width = VLT_SCALAR.lane_core.width
         over = [k for k, n in per_cycle.items() if n > width]
         assert not over, f"{len(over)} lane-cycles issue over {width} ops"
+
+
+class TestBarnesEventStream:
+    def test_stream_matches_golden(self):
+        _assert_stream("barnes", _traced_lanes("barnes"),
+                       _BARNES_EVENTS, _BARNES_DIGEST)
