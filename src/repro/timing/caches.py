@@ -47,8 +47,9 @@ class Cache:
         self.line_bytes = line_bytes
         self.assoc = assoc
         self.num_sets = size_bytes // (assoc * line_bytes)
-        # Per-set MRU-ordered tag lists (index 0 = most recent).
-        self._sets: List[List[int]] = [[] for _ in range(self.num_sets)]
+        # Per-set MRU-ordered tag lists (index 0 = most recent), each
+        # made on its set's first fill: None is an empty set.
+        self._sets: List[Optional[List[int]]] = [None] * self.num_sets
         self.stats = CacheStats()
 
     def _locate(self, addr: int):
@@ -60,6 +61,8 @@ class Cache:
         line = addr // self.line_bytes
         tag = line // self.num_sets
         ways = self._sets[line % self.num_sets]
+        if ways is None:
+            ways = self._sets[line % self.num_sets] = []
         self.stats.accesses += 1
         try:
             pos = ways.index(tag)
@@ -80,7 +83,8 @@ class Cache:
     def probe(self, addr: int) -> bool:
         """Check residency without updating LRU or stats."""
         set_idx, tag = self._locate(addr)
-        return tag in self._sets[set_idx]
+        ways = self._sets[set_idx]
+        return ways is not None and tag in ways
 
     def invalidate(self, addr: int) -> bool:
         """Drop the line containing ``addr`` if present (coherence).
@@ -89,6 +93,8 @@ class Cache:
         """
         set_idx, tag = self._locate(addr)
         ways = self._sets[set_idx]
+        if ways is None:
+            return False
         try:
             ways.remove(tag)
             return True
@@ -97,5 +103,4 @@ class Cache:
 
     def flush(self) -> None:
         """Invalidate all lines (stats retained)."""
-        for ways in self._sets:
-            ways.clear()
+        self._sets = [None] * self.num_sets

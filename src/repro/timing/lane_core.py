@@ -40,35 +40,53 @@ from .scalar_unit import CODE_BASE, INSTR_BYTES
 
 _FAR_FUTURE = 1 << 62
 
-#: hazard-record classes for the decoupled-slip scan
-_OTHER, _LOAD, _ADDR, _BOUNDARY = range(4)
+#: slip-scan classes of a per-pc record; ``_SLIPPED`` is the class of
+#: :data:`_ISSUED`, the entry of an op a scan has already issued
+_OTHER, _LOAD, _ADDR, _BOUNDARY, _SLIPPED = range(5)
+#: in-order classes: which issue path :meth:`LaneCore.step` takes
+_ALU, _BRANCH, _LD, _ST, _VECTOR, _BARRIER, _HALT, _VLTCFG = range(8)
+_ISSUED = (_SLIPPED,)
 
 
-def _hazard_record(spec, reads, writes) -> tuple:
-    """``(class, read mask, write mask, dst, reads)`` of one op.
+def _record(op, icache_line: int) -> tuple:
+    """``(kind, rmask, wmask, rwmask, dbit, dst, reads, writes, cls,
+    latency, iline, pc)`` of one per-pc op.
 
-    The class says what the slip scan does with the op: stop at a
-    control boundary, try to issue a load or an integer address op, or
-    only note its registers.  The masks carry one bit per register uid.
+    ``kind`` says what the slip scan does with the op: stop at a control
+    boundary, try to issue a load or an integer address op, or only
+    note its registers.  The masks carry one bit per register uid
+    (``dbit`` is the destination ``dst``'s).  ``cls`` is the in-order
+    class and ``iline`` the op's I-cache line.
     """
-    if spec.is_barrier or spec.is_halt or spec.is_vltcfg or spec.is_vector:
+    spec, reads, writes = op.spec, op.reads, op.writes
+    if spec.pool == "mem":
+        cls = _LD if spec.is_load else _ST
+    elif spec.is_branch and not spec.is_uncond:
+        cls = _BRANCH
+    else:
+        cls = (_VECTOR if spec.is_vector else _BARRIER if spec.is_barrier
+               else _HALT if spec.is_halt else _VLTCFG if spec.is_vltcfg
+               else _ALU)
+    if cls > _ST:
         kind = _BOUNDARY
-    elif not writes:
-        kind = _OTHER   # no destination: always a hazard, never slips
-    elif spec.is_load:
+    elif writes and spec.is_load:
         kind = _LOAD
-    elif (spec.pool == "arith" and not spec.is_branch
+    elif (writes and spec.pool == "arith" and not spec.is_branch
           and all(u < 32 for u in writes)):
         kind = _ADDR
     else:
-        kind = _OTHER
+        kind = _OTHER   # no destination, or not a load or integer op
     rmask = 0
     for u in reads:
         rmask |= 1 << u
     wmask = 0
     for u in writes:
         wmask |= 1 << u
-    return (kind, rmask, wmask, writes[0] if writes else None, reads)
+    dst = writes[0] if writes else None
+    return (kind, rmask, wmask, rmask | wmask,
+            0 if dst is None else 1 << dst, dst, reads, writes, cls,
+            spec.latency, (CODE_BASE + op.pc * INSTR_BYTES) // icache_line,
+            op.pc)
 
 
 class LaneCore:
@@ -88,6 +106,9 @@ class LaneCore:
         self.tid: Optional[int] = None
         #: the per-op list: op i's static fields (and event payload)
         self.trace: list = []
+        #: op i's per-pc :func:`_record`, or :data:`_ISSUED` once a
+        #: slip scan has issued it
+        self.recs: list = []
         #: op i's first memory address and branch outcome
         self.addrs: List[int] = []
         self.takens: List[int] = []
@@ -99,12 +120,11 @@ class LaneCore:
         self.waiting_barrier = False
         self.halted = True  # no thread assigned yet
         self.finish_time: Optional[int] = None
-        #: trace indices of loads issued early by decoupled slip
-        self.pre_issued: set = set()
-        #: one :func:`_hazard_record` per trace op
-        self.hazards: List[tuple] = []
         #: slip memo: no scan can issue before this cycle (0: unknown)
         self.slip_wake = 0
+        #: the machine steps the core from this cycle on: its last
+        #: :meth:`next_event` answer, or 0 when that must be asked again
+        self.due = 0
 
     def add_thread(self, tid: int, replay: ReplayTrace, ops: list) -> None:
         self.tid = tid
@@ -112,9 +132,8 @@ class LaneCore:
         self.addrs = replay.addrs
         self.takens = replay.takens
         self.halted = False
-        self.hazards = replay.per_op([
-            _hazard_record(r.spec, r.reads, r.writes)
-            for r in replay.records])
+        self.recs = replay.per_op([_record(r, self.cfg.icache_line)
+                                   for r in replay.records])
 
     # ------------------------------------------------------------------
 
@@ -128,91 +147,89 @@ class LaneCore:
         self.slip_wake = 0   # the in-order path changes what a scan sees
         budget = self.cfg.width
         mem_slots = 2  # two memory ports per lane (Table 3)
-        trace = self.trace
+        recs = self.recs
         reg_ready = self.reg_ready
+        i = self.idx   # written back to self.idx at every exit
 
         while budget:
-            if self.idx in self.pre_issued:
-                # load already issued by decoupled slip
-                self.pre_issued.discard(self.idx)
-                self.idx += 1
+            rec = recs[i]
+            if rec is _ISSUED:
+                i += 1   # a load or address op decoupled slip issued
                 continue
-            i = self.idx
-            dynop = trace[i]
-            spec = dynop.spec
+            _, _, _, _, _, _, reads, writes, cls, latency, iline, pc = rec
 
-            iline = (CODE_BASE + dynop.pc * INSTR_BYTES) // self.cfg.icache_line
             if iline != self.last_iline:
                 self.stats.icache_accesses += 1
                 self.last_iline = iline
-                if not self.icache.access(iline * self.cfg.icache_line):
+                iaddr = iline * self.cfg.icache_line
+                if not self.icache.access(iaddr):
                     self.stats.icache_misses += 1
-                    self.stall_until = self.l2.access(
-                        iline * self.cfg.icache_line, cycle) \
+                    self.idx = i
+                    self.stall_until = self.l2.access(iaddr, cycle) \
                         + self.cfg.imiss_extra
                     obs = self.obs
                     if obs.enabled:
                         obs.emit(Event(cycle, STALL,
-                                       f"lane{self.lane_idx}", dynop,
+                                       f"lane{self.lane_idx}", self.trace[i],
                                        dur=self.stall_until - cycle,
                                        reason=StallReason.LANE_IMISS))
                     return
 
-            if spec.is_vector:
-                raise RuntimeError(
-                    "vector instruction in a scalar lane-core thread "
-                    f"(pc {dynop.pc}, op {dynop.op!r})")
-            if spec.is_barrier:
-                self.idx += 1
-                self.waiting_barrier = True
-                self.machine.barrier_arrive(
-                    self.tid, max(cycle, self.last_done))
-                return
-            if spec.is_halt:
-                self.idx += 1
-                self.halted = True
-                self.finish_time = max(cycle, self.last_done)
-                self.machine.thread_halted(self.tid, self.finish_time)
-                return
-            if spec.is_vltcfg:
-                self.idx += 1
-                self.stall_until = cycle + self.machine.cfg.vltcfg_overhead
+            if cls > _ST:
+                if cls == _VECTOR:
+                    raise RuntimeError(
+                        "vector instruction in a scalar lane-core thread "
+                        f"(pc {pc}, op {self.trace[i].op!r})")
+                self.idx = i + 1
+                if cls == _BARRIER:
+                    self.waiting_barrier = True
+                    self.machine.barrier_arrive(
+                        self.tid, max(cycle, self.last_done))
+                elif cls == _HALT:
+                    self.halted = True
+                    self.finish_time = max(cycle, self.last_done)
+                    self.machine.thread_halted(self.tid, self.finish_time)
+                else:   # vltcfg
+                    self.stall_until = \
+                        cycle + self.machine.cfg.vltcfg_overhead
                 return
 
             # In-order: block on the first not-ready instruction (but let
             # ready loads slip ahead through the decoupling queue).
             ready = cycle
-            for uid in dynop.reads:
+            for uid in reads:
                 t = reg_ready[uid]
                 if t > ready:
                     ready = t
             if ready > cycle:
+                self.idx = i
                 self.stall_until = ready
                 self.stats.load_stall_cycles += ready - cycle
                 obs = self.obs
                 if obs.enabled:
                     obs.emit(Event(cycle, STALL, f"lane{self.lane_idx}",
-                                   dynop, dur=ready - cycle,
+                                   self.trace[i], dur=ready - cycle,
                                    reason=StallReason.OPERAND))
                 self._slip(cycle, mem_slots)
                 return
 
-            if spec.pool == "mem":
+            if cls >= _LD:
                 if mem_slots == 0:
+                    self.idx = i
                     return
                 mem_slots -= 1
                 addr = self.addrs[i]
-                if spec.is_load:
-                    done = self.l2.access(addr, cycle + spec.latency)
+                if cls == _LD:
+                    done = self.l2.access(addr, cycle + latency)
                 else:
-                    self.l2.access(addr, cycle + spec.latency)
+                    self.l2.access(addr, cycle + latency)
                     # lane stores write the L2; SU L1 copies go stale
                     self.machine.l1d_invalidate(addr)
-                    done = cycle + spec.latency
+                    done = cycle + latency
             else:
-                done = cycle + spec.latency
+                done = cycle + latency
 
-            for uid in dynop.writes:
+            for uid in writes:
                 reg_ready[uid] = done
             if done > self.last_done:
                 self.last_done = done
@@ -220,22 +237,25 @@ class LaneCore:
             obs = self.obs
             if obs.enabled:
                 obs.emit(Event(cycle, LANE_ISSUE, f"lane{self.lane_idx}",
-                               dynop, dur=done - cycle))
-            self.idx += 1
+                               self.trace[i], dur=done - cycle))
+            i += 1
             budget -= 1
 
-            if spec.is_branch and not spec.is_uncond:
-                correct = self.bpred.predict_and_update(dynop.pc,
-                                                        self.takens[i])
+            if cls == _BRANCH:
+                correct = self.bpred.predict_and_update(pc,
+                                                        self.takens[i - 1])
                 if not correct:
                     self.stats.branch_mispredicts += 1
+                    self.idx = i
                     self.stall_until = done + self.cfg.mispredict_penalty
                     if obs.enabled:
                         obs.emit(Event(
-                            cycle, STALL, f"lane{self.lane_idx}", dynop,
+                            cycle, STALL, f"lane{self.lane_idx}",
+                            self.trace[i - 1],
                             dur=self.stall_until - cycle,
                             reason=StallReason.LANE_MISPREDICT))
                     return
+        self.idx = i
 
     # ------------------------------------------------------------------
 
@@ -259,7 +279,11 @@ class LaneCore:
         (the lane is still a 2-wide machine).  Memory-order hazards are
         not modelled, as in the rest of the timing simulator.
 
-        Slip memo: a scan reads only ``idx``, ``pre_issued`` and
+        The scan accumulates the registers the unissued ops after
+        ``idx`` write and read, seeded from ``idx``'s per-pc record even
+        if ``idx`` slipped; an op it issues becomes :data:`_ISSUED`.
+
+        Slip memo: a scan reads only ``idx``, :attr:`recs` and
         ``reg_ready``.  Lane registers are private to the lane and the
         L2 is touched only on issue, so nothing outside the lane changes
         what the next scan sees.  Ops a scan issues are skipped by later
@@ -274,47 +298,50 @@ class LaneCore:
         """
         if cycle < self.slip_wake or budget == 0:
             return
-        trace = self.trace
-        hazards = self.hazards
+        recs = self.recs
         reg_ready = self.reg_ready
-        pre_issued = self.pre_issued
         mem_slots = 2
-        _, read, written, _, _ = hazards[self.idx]
+        i = self.idx
+        head = recs[i]
+        if head is _ISSUED:     # idx itself slipped: decode it again
+            head = _record(self.trace[i], self.cfg.icache_line)
+        acc_w = head[2]     # registers the unissued ops write
+        acc_rw = head[3]    # ... and read or write
         wake = _FAR_FUTURE
-        limit = min(len(trace), self.idx + 1 + self.cfg.decouple_depth)
-        for j in range(self.idx + 1, limit):
-            if j in pre_issued:
+        for j, rec in enumerate(recs[i + 1:i + 1 + self.cfg.decouple_depth],
+                                i + 1):
+            kind = rec[0]
+            if not kind:    # _OTHER
+                acc_w |= rec[2]
+                acc_rw |= rec[3]
                 continue
-            kind, rmask, wmask, dst, reads = hazards[j]
-            if kind == _BOUNDARY:
-                break
+            if kind > _ADDR:
+                if kind == _BOUNDARY:
+                    break
+                continue    # _ISSUED
             # candidates: loads, and scalar-integer address arithmetic
-            if (kind == _ADDR or (kind == _LOAD and mem_slots > 0)) \
-                    and not ((1 << dst) & (written | read)
-                             or rmask & written):
+            if (kind == _ADDR or mem_slots) \
+                    and not (rec[4] & acc_rw or rec[1] & acc_w):
                 ready = 0
-                for u in reads:
+                for u in rec[6]:
                     t = reg_ready[u]
                     if t > ready:
                         ready = t
                 if ready <= cycle:
-                    op = trace[j]
-                    spec = op.spec
                     if kind == _LOAD:
-                        done = self.l2.access(self.addrs[j],
-                                              cycle + spec.latency)
+                        done = self.l2.access(self.addrs[j], cycle + rec[9])
                         mem_slots -= 1
                     else:
-                        done = cycle + spec.latency
-                    reg_ready[dst] = done
+                        done = cycle + rec[9]
+                    reg_ready[rec[5]] = done
                     if done > self.last_done:
                         self.last_done = done
-                    pre_issued.add(j)
+                    recs[j] = _ISSUED
                     self.stats.issued += 1
                     obs = self.obs
                     if obs.enabled:
                         obs.emit(Event(cycle, LANE_ISSUE,
-                                       f"lane{self.lane_idx}", op,
+                                       f"lane{self.lane_idx}", self.trace[j],
                                        dur=done - cycle, arg="slip"))
                     budget -= 1
                     if budget == 0:
@@ -323,14 +350,15 @@ class LaneCore:
                     continue
                 if ready < wake:
                     wake = ready
-            written |= wmask
-            read |= rmask
+            acc_w |= rec[2]
+            acc_rw |= rec[3]
         self.slip_wake = wake
 
     def resume(self, at: int) -> None:
         """Barrier release: resume fetching at cycle ``at``."""
         self.waiting_barrier = False
         self.stall_until = max(self.stall_until, at)
+        self.due = 0
 
     def next_event(self, cycle: int) -> int:
         if self.halted or self.waiting_barrier:

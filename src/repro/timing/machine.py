@@ -112,6 +112,9 @@ class Machine:
             for tid, (u, _ctx) in enumerate(cfg.placement(self.num_threads)):
                 ctx = self.sus[u].add_thread(tid, replays[tid], ops[tid])
                 self._threads[tid] = ("su", self.sus[u], ctx)
+        #: the SUs that hold a context: any other never steps, so its
+        #: L1s stay empty (every SU of a lane-core run)
+        self._active_sus = [su for su in self.sus if su.contexts]
 
     # -- barrier / completion callbacks -----------------------------------------
 
@@ -151,7 +154,7 @@ class Machine:
     def l1d_invalidate(self, addr: int, except_su=None) -> None:
         """Coherence: drop the L1D line holding ``addr`` everywhere but
         the writing SU (the hardware L1/L2 coherence of Section 2)."""
-        for su in self.sus:
+        for su in self._active_sus:
             if su is not except_su:
                 su.l1d.invalidate(addr)
 
@@ -159,7 +162,7 @@ class Machine:
         """Vector-store coherence: invalidate every touched line (the
         distinct ``line``-byte line numbers ``lines``) in all SU L1Ds
         (vector stores write the L2 directly)."""
-        for su in self.sus:
+        for su in self._active_sus:
             invalidate = su.l1d.invalidate
             for ln in lines:
                 invalidate(ln * line)
@@ -194,8 +197,7 @@ class Machine:
         result assembly.
         """
         cycle = 0
-        # a unit without a context (a lane-core run's SUs) never changes
-        sus = [su for su in self.sus if su.contexts]
+        sus = self._active_sus
         vu = self.vu
         cores = self.lane_cores
         obs = self.obs
@@ -219,7 +221,8 @@ class Machine:
                 vu_busy = vu.dispatched != dispatched
                 dispatched = vu.dispatched
             for core in cores:
-                core.step(cycle)
+                if core.due <= cycle:
+                    core.step(cycle)
 
             if self._halted_count == self.num_threads:
                 if all(su.all_done for su in sus) and not (
@@ -233,7 +236,9 @@ class Machine:
                 if t < best:
                     best = t
             for core in cores:
-                t = core.next_event(cycle)
+                t = core.due
+                if t <= cycle:   # stepped, or resumed by a barrier
+                    t = core.due = core.next_event(cycle)
                 if t < best:
                     best = t
             if best > nxt and vu_busy and vu.busy(cycle):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.isa import assemble, spec
 from repro.timing import clear_trace_cache, simulate
-from repro.timing.config import BASE, V2_CMP
+from repro.timing.config import BASE, V2_CMP, VLT_SCALAR
 from repro.timing.machine import Machine
 from repro.timing.run import trace_for
 
@@ -98,6 +98,37 @@ class TestPeerStoreInvalidation:
         m.run()
         su = m.sus[0]
         assert su.stats.l1d_misses == 1  # only the store's cold miss
+
+
+class TestLaneStores:
+    def test_su_l1ds_stay_empty(self, monkeypatch):
+        # a lane-core run's SUs hold no context, so their L1Ds are never
+        # filled and lane stores need not invalidate them
+        src = """
+        .space x 1024
+        tid s1
+        muli s2, s1, 128
+        li s3, &x
+        add s3, s3, s2
+        {}
+        barrier
+        halt
+        """.format("\n".join(f"st s1, {8 * k}(s3)" for k in range(16)))
+        invalidated = []
+        invalidate = Machine.l1d_invalidate
+
+        def counting_invalidate(machine, addr, except_su=None):
+            invalidated.append(addr)
+            invalidate(machine, addr, except_su)
+
+        monkeypatch.setattr(Machine, "l1d_invalidate", counting_invalidate)
+        m = machine_for(src, cfg=VLT_SCALAR, nt=4)
+        m.run()
+        assert len(invalidated) == 4 * 16
+        assert m.sus
+        for su in m.sus:
+            assert su.l1d.stats.accesses == 0
+            assert not any(su.l1d._sets)
 
 
 class TestLsync:

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.harness.runner import RunSpec
 from repro.isa import assemble
 from repro.obs.events import LANE_ISSUE
 from repro.timing import simulate
@@ -37,6 +38,27 @@ _POINTER_CHASE = """
 li s2, &p
 st s2, 0(s2)
 {}
+halt
+""".format("\n".join("ld s2, 0(s2)" for _ in range(20)))
+
+#: thread 0 chases pointers while thread 1 runs an ALU loop
+_CHASE_AND_LOOP = """
+.i64 p 64
+tid s1
+li s3, 0
+bne s1, s3, alu
+li s2, &p
+st s2, 0(s2)
+{}
+j done
+alu:
+li s4, 0
+li s5, 200
+loop:
+addi s4, s4, 1
+blt s4, s5, loop
+done:
+barrier
 halt
 """.format("\n".join("ld s2, 0(s2)" for _ in range(20)))
 
@@ -133,6 +155,39 @@ class TestStallHorizon:
         # the lane sleeps until its operand arrives
         assert len(steps) < r.cycles
         assert sum(t == stall for _, t, stall in horizons) >= 20
+
+    def test_lanes_step_only_when_due(self, monkeypatch):
+        # the ALU lane is busy on every cycle; the chasing lane must
+        # still sleep until the cycle its last next_event named
+        named = {}
+        early = []
+        stalled_steps = []
+        step, next_event = LaneCore.step, LaneCore.next_event
+        resume = LaneCore.resume
+
+        def checked_step(core, cycle):
+            if cycle < named.get(core.lane_idx, 0):
+                early.append((core.lane_idx, cycle))
+            if core.tid is not None and core.stall_until > cycle:
+                stalled_steps.append(cycle)
+            step(core, cycle)
+
+        def recording_next_event(core, cycle):
+            named[core.lane_idx] = t = next_event(core, cycle)
+            return t
+
+        def forgetting_resume(core, at):
+            named.pop(core.lane_idx, None)   # the machine must ask again
+            resume(core, at)
+
+        monkeypatch.setattr(LaneCore, "step", checked_step)
+        monkeypatch.setattr(LaneCore, "next_event", recording_next_event)
+        monkeypatch.setattr(LaneCore, "resume", forgetting_resume)
+        r = run_lanes(_CHASE_AND_LOOP, threads=2)
+        assert r.barrier_count == 1
+        assert r.cycles >= 20 * 10
+        assert stalled_steps            # the horizon did come due
+        assert not early, f"{len(early)} steps before due, first {early[:3]}"
 
 
 class TestDecoupledSlip:
@@ -251,8 +306,8 @@ def _assert_stream(app, traced, events, digest):
     assert len(log.events) == events
     assert goldens.events_digest(log) == digest
     golden = json.loads(goldens.GOLDEN_PATH.read_text())
-    key = f"{app} on VLT-scalar (8 thr, scalar)"
-    assert goldens.record(traced.result) == golden[key]
+    spec = RunSpec(app, "VLT-scalar", 8, scalar_only=True)
+    assert goldens.record(traced.result) == golden[str(spec)]
 
 
 @pytest.fixture(scope="module")
