@@ -17,15 +17,12 @@ KEY:FACTOR`` additionally requires the candidate's KEY row to record a
 ``speedup_vs_*`` of at least FACTOR (e.g.
 ``--min-speedup trace_generation_fast:5`` gates the fast functional
 engine against its reference).  ``--min-metric KEY:METRIC:MIN``
-requires an absolute floor on any candidate metric, baseline-free
-(e.g. ``--min-metric duplicate_burst:dedupe_fraction:0.9`` gates the
-service bench's dedupe collapse); the same gates also serve
-``BENCH_service_throughput.json`` in the service-smoke job and
-``BENCH_compiler_tradeoff.json`` in the compiler-tradeoff job (there
-the gated ``speedup_vs_auto`` values are deterministic simulated-cycle
-ratios, so exact floors like
+requires an absolute floor on any candidate metric, baseline-free.
+The same gates also serve ``BENCH_compiler_tradeoff.json`` in the
+compiler-tradeoff job, where the gated ``speedup_vs_auto`` values are
+deterministic simulated-cycle ratios, so exact floors like
 ``--min-metric strategy_unroll_jam:speedup_vs_auto:0.99`` hold on any
-host).  Speedups and small
+host.  Speedups and small
 regressions just print.  Absolute numbers differ across hosts, so this
 is only meaningful when both files come from the same machine (as in
 one CI job) -- it is a smoke gate against order-of-magnitude slowdowns,
@@ -42,8 +39,8 @@ from typing import List, Optional, Tuple
 
 #: (result key, metric) pairs gated by --max-regression; keys absent
 #: from both files are skipped, so the same gate list serves every
-#: BENCH_*.json family (simulator speed, service throughput and the
-#: compiler-tradeoff sweep).  The strategy rows are simulated-cycle
+#: BENCH_*.json family (simulator speed and the compiler-tradeoff
+#: sweep).  The strategy rows are simulated-cycle
 #: ratios -- deterministic, host-independent -- so any movement at all
 #: means the compiler's emitted code changed shape
 _GATED: Tuple[Tuple[str, str], ...] = (
@@ -51,8 +48,6 @@ _GATED: Tuple[Tuple[str, str], ...] = (
     ("timing_replay", "cycles_per_s"),
     ("functional", "ops_per_s"),
     ("trace_generation_fast", "ops_per_s"),
-    ("duplicate_burst", "jobs_per_s"),
-    ("mixed_load", "jobs_per_s"),
     ("strategy_padding", "speedup_vs_auto"),
     ("strategy_peeling", "speedup_vs_auto"),
     ("strategy_unroll_jam", "speedup_vs_auto"),
@@ -160,9 +155,9 @@ def check_min_metrics(candidate: dict,
     Each spec is ``(result key, metric, minimum)``: the candidate's KEY
     row must carry METRIC >= MINIMUM.  Unlike --max-regression this
     needs no baseline, so it suits host-independent invariants -- e.g.
-    ``duplicate_burst:dedupe_fraction:0.9`` requires the service bench
-    to show at least 90% of a duplicate burst served without
-    re-simulation.  A missing row or field fails: a bench that silently
+    ``strategy_unroll_jam:speedup_vs_auto:0.99`` requires unroll-and-jam
+    to keep at least 0.99x of auto's speed over the compiler-tradeoff
+    sweep.  A missing row or field fails: a bench that silently
     stopped measuring the invariant must not pass the gate.
     """
     lines: List[str] = []
@@ -230,7 +225,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         default=[],
                         help="require the candidate's KEY row to carry "
                              "METRIC >= MIN (repeatable; e.g. "
-                             "duplicate_burst:dedupe_fraction:0.9)")
+                             "strategy_unroll_jam:speedup_vs_auto:0.99)")
     parser.add_argument("--append-history", metavar="DIR", default=None,
                         help="also append the candidate snapshot to this "
                              "bench-trend history directory "

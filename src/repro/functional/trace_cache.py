@@ -75,10 +75,10 @@ class TraceCache:
 
     ``sweep_on_init=True`` stat-walks the tree at construction to remove
     stale ``.tmp`` files (a worker killed between mkstemp and
-    ``os.replace`` leaves one behind).  It is opt-in: N service workers
+    ``os.replace`` leaves one behind).  It is opt-in: N pool workers
     opening one shared root must not each pay a full tree walk, so only
-    long-lived entry points (the CLI, the service parent) sweep -- see
-    :meth:`sweep_orphans` for on-demand use.
+    the CLI process sweeps -- see :meth:`sweep_orphans` for on-demand
+    use.
     """
 
     def __init__(self, root, sweep_on_init: bool = False) -> None:
@@ -89,7 +89,6 @@ class TraceCache:
         self.result_hits = 0
         self.result_misses = 0
         self.result_stores = 0
-        self.evictions = 0
         if sweep_on_init:
             self.sweep_orphans()
 
@@ -140,7 +139,6 @@ class TraceCache:
             self.trace_misses += 1
             return None
         self.trace_hits += 1
-        self._touch(path)
         return trace
 
     def store_trace(self, program_digest: str, num_threads: int,
@@ -164,7 +162,6 @@ class TraceCache:
             self.result_misses += 1
             return None
         self.result_hits += 1
-        self._touch(path)
         return result
 
     def store_result(self, key: str, result) -> Path:
@@ -174,18 +171,6 @@ class TraceCache:
         return path
 
     # -- maintenance ---------------------------------------------------------
-
-    @staticmethod
-    def _touch(path: Path) -> None:
-        """Refresh an entry's mtime so LRU eviction sees the hit.
-
-        Best-effort: a concurrent :meth:`enforce_budget` may have just
-        unlinked the entry we served from memory.
-        """
-        try:
-            os.utime(path, None)
-        except OSError:
-            pass
 
     @staticmethod
     def _is_tmp(path: Path) -> bool:
@@ -219,51 +204,6 @@ class TraceCache:
                     continue   # raced with another sweeper / writer
         return removed
 
-    def _entry_files(self):
-        """Every real cache entry as ``(path, stat)`` (no tmp files)."""
-        for subdir in ("traces", "results"):
-            base = self.root / subdir
-            if not base.is_dir():
-                continue
-            for p in base.rglob("*"):
-                if not p.is_file() or self._is_tmp(p):
-                    continue
-                try:
-                    yield p, p.stat()
-                except OSError:
-                    continue   # raced with an eviction / clear
-
-    def disk_usage(self) -> int:
-        """Total bytes of real cache entries under the root."""
-        return sum(st.st_size for _, st in self._entry_files())
-
-    def enforce_budget(self, max_bytes: int) -> int:
-        """LRU eviction: delete oldest-mtime entries until the cache
-        fits ``max_bytes``; returns the number evicted.
-
-        Recency is entry mtime -- refreshed on every hit by
-        :meth:`_touch` -- so hot traces survive and cold ones go first.
-        Concurrent writers are safe: eviction only unlinks completed
-        entries (never in-flight ``.tmp`` files), and a racing reader
-        treats the vanished file as a miss.
-        """
-        if max_bytes < 0:
-            raise ValueError("max_bytes must be >= 0")
-        entries = sorted(self._entry_files(), key=lambda e: e[1].st_mtime)
-        total = sum(st.st_size for _, st in entries)
-        removed = 0
-        for path, st in entries:
-            if total <= max_bytes:
-                break
-            try:
-                path.unlink()
-            except OSError:
-                continue   # another evictor got it first
-            total -= st.st_size
-            removed += 1
-        self.evictions += removed
-        return removed
-
     def _census(self, subdir: str) -> Dict[str, int]:
         base = self.root / subdir
         entries = 0
@@ -295,7 +235,6 @@ class TraceCache:
             "result_hits": self.result_hits,
             "result_misses": self.result_misses,
             "result_stores": self.result_stores,
-            "evictions": self.evictions,
         }
 
     def stats(self) -> Dict[str, object]:

@@ -72,7 +72,7 @@ EXPERIMENT_NAMES = ["table1", "table2", "table3", "table4",
 #: test asserts each one is documented somewhere under docs/ or README
 CLI_VERBS = tuple(EXPERIMENT_NAMES) + (
     "all", "verify", "mix", "run", "trace", "profile", "determinism",
-    "cache", "lint", "diff", "tele", "serve", "compiler-tradeoff")
+    "cache", "lint", "diff", "tele", "compiler-tradeoff")
 
 #: the one-run verbs and their usage lines; each runs one RunSpec built
 #: from <app>, --config, --threads, --scalar-only and --strategy
@@ -530,24 +530,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--last", type=int, default=5,
                         help="history entries in the trend report "
                              "('tele trend' verb)")
-    parser.add_argument("--host", type=str, default="127.0.0.1",
-                        help="bind address for the 'serve' verb")
-    parser.add_argument("--port", type=int, default=8373,
-                        help="TCP port for the 'serve' verb (0 = pick "
-                             "an ephemeral port)")
-    parser.add_argument("--rate", type=float, default=50.0,
-                        help="per-tenant submissions/s refill "
-                             "('serve' verb)")
-    parser.add_argument("--burst", type=float, default=100.0,
-                        help="per-tenant submission burst capacity "
-                             "('serve' verb)")
-    parser.add_argument("--max-inflight", type=int, default=256,
-                        help="per-tenant unfinished-job quota "
-                             "('serve' verb)")
-    parser.add_argument("--cache-budget-mb", type=float, default=None,
-                        help="LRU size budget for --cache-dir in MB "
-                             "('serve' verb; oldest entries evicted)")
     args = parser.parse_args(argv)
+
+    # the runner flags, checked once for every verb that reads them
+    if args.timeout is not None and not args.timeout > 0:
+        # don't let a `--timeout 0` typo silently disable the limit
+        parser.error("--timeout must be > 0 seconds")
+    if args.jobs < 1:
+        parser.error("--jobs must be >= 1")
+    if args.retries < 0:
+        parser.error("--retries must be >= 0")
 
     if args.experiments[0] == "lint":
         apps = args.apps.split(",") if args.apps else None
@@ -678,27 +670,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"removed {removed} cache entries under {args.cache_dir}")
         return 0
 
-    if args.experiments[0] == "serve":
-        if len(args.experiments) != 1:
-            parser.error("usage: vlt-repro serve [--host H --port P "
-                         "--jobs N --cache-dir DIR --cache-budget-mb M "
-                         "--telemetry DIR --timeout S --retries K "
-                         "--rate R --burst B --max-inflight Q]")
-        from ..service import ServiceConfig, serve
-        budget = None
-        if args.cache_budget_mb is not None:
-            budget = int(args.cache_budget_mb * 1024 * 1024)
-        return serve(ServiceConfig(
-            host=args.host, port=args.port, workers=max(1, args.jobs),
-            cache_dir=args.cache_dir, telemetry_dir=args.telemetry,
-            timeout=args.timeout, retries=args.retries,
-            rate=args.rate, burst=args.burst,
-            max_inflight=args.max_inflight,
-            cache_budget_bytes=budget))
-
     names = args.experiments
     if names == ["all"]:
-        names = EXPERIMENT_NAMES
+        names = list(EXPERIMENT_NAMES)
+    # check every name before the sweep, so a typo cannot run it first
+    for name in names:
+        if name not in EXPERIMENT_NAMES + ["verify", "mix"]:
+            parser.error(f"unknown verb or experiment {name!r}; valid "
+                         f"verbs: {', '.join(CLI_VERBS)} ('all' alone)")
     # table1/table2 render together; drop the duplicate
     if "table1" in names and "table2" in names:
         names.remove("table2")
@@ -709,9 +688,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     # matrix, executed by the runner first: in-process and serial with
     # --jobs 1, over worker processes otherwise, through the result
     # cache when --cache-dir is given.
-    if args.timeout is not None and not args.timeout > 0:
-        # don't let a `--timeout 0` typo silently disable the limit
-        parser.error("--timeout must be > 0 seconds")
     specs = E.matrix_for(names, apps=apps, lanes=lanes)
     if args.experiments_md:
         # the written document covers every section over its default

@@ -173,11 +173,10 @@ def _alarm(timeout_s: Optional[float]) -> Iterator[None]:
     the platform lacks ``SIGALRM``.
 
     Signal handlers can only be installed from the main thread --
-    ``signal.signal`` raises ``ValueError`` anywhere else, which is
-    exactly where the job service's executor threads run specs.  Off
-    the main thread this degrades to a no-op with a one-time warning;
-    callers in that position (the service) enforce their own
-    wall-clock limits.
+    ``signal.signal`` raises ``ValueError`` anywhere else, e.g. in a
+    thread-pool worker that runs specs.  Off the main thread this
+    degrades to a no-op with a one-time warning; a caller there must
+    enforce its own wall-clock limit.
     """
     if not timeout_s or not hasattr(signal, "SIGALRM"):
         yield
@@ -334,21 +333,16 @@ def _execute_spec(spec: RunSpec, timeout_s: Optional[float],
 
 
 # --------------------------------------------------------------------------
-# Ledger record shapes (shared with repro.service)
+# Ledger record shapes
 # --------------------------------------------------------------------------
 
 def run_record(spec: RunSpec, payload: Dict[str, object], attempts: int,
-               t_submit: Optional[float] = None,
-               tenant: Optional[str] = None,
-               job_id: Optional[str] = None) -> Dict[str, object]:
+               t_submit: Optional[float] = None) -> Dict[str, object]:
     """One schema-:data:`LEDGER_SCHEMA` ledger record for an observed
-    run-attempt payload.  The :class:`ExperimentRunner` and the job
-    service (:mod:`repro.service`) both build their records here so the
-    schema lives in exactly one place; ``tenant``/``job_id`` stay None
-    for CLI/runner sweeps.  ``queue_wait_s`` is the time from
+    run-attempt payload.  ``queue_wait_s`` is the time from
     ``t_submit`` to the attempt's start, when both are known.  ``engine``
-    is always ``"event"`` and ``func_engine`` always ``"fast"``, the only
-    timing and trace-generation engines; the fields stay so schema-3
+    is always ``"event"``, ``func_engine`` always ``"fast"`` and
+    ``tenant``/``job_id`` always None; the fields stay so schema-3
     ledgers keep one shape."""
     err = payload.get("error")
     result = payload.get("result")
@@ -364,8 +358,8 @@ def run_record(spec: RunSpec, payload: Dict[str, object], attempts: int,
         "func_engine": "fast",
         "attempt": attempts,
         "worker": payload.get("worker"),
-        "tenant": tenant,
-        "job_id": job_id,
+        "tenant": None,
+        "job_id": None,
         "outcome": "ok" if err is None else "error",
         "error_type": str(err["type"]) if err else None,
         "cycles": int(result.cycles) if result is not None else None,

@@ -53,8 +53,8 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 from .chrome_trace import track_metadata
 
 #: run-ledger record schema version (bump on breaking field changes).
-#: Schema 3 added the job-service provenance fields ``tenant`` and
-#: ``job_id`` (both None for CLI/runner sweeps).
+#: Schema 3 added the provenance fields ``tenant`` and ``job_id``; the
+#: runner writes both as None, and only older ledgers carry values.
 LEDGER_SCHEMA = 3
 
 #: every field of a schema-3 run record, in canonical order; the golden
@@ -463,15 +463,11 @@ class TelemetryReader:
 
         engine_mix: Dict[str, int] = {}
         func_engine_mix: Dict[str, int] = {}
-        tenant_mix: Dict[str, int] = {}
         for r in recs:
             eng = str(r.get("engine") or "unknown")
             engine_mix[eng] = engine_mix.get(eng, 0) + 1
             feng = str(r.get("func_engine") or "unknown")
             func_engine_mix[feng] = func_engine_mix.get(feng, 0) + 1
-            if r.get("tenant") is not None:   # service-submitted runs
-                ten = str(r["tenant"])
-                tenant_mix[ten] = tenant_mix.get(ten, 0) + 1
 
         return {
             "attempts": len(recs),
@@ -496,7 +492,6 @@ class TelemetryReader:
                                         if span_s > 0 else None),
             "engine_mix": engine_mix,
             "func_engine_mix": func_engine_mix,
-            "tenant_mix": tenant_mix,
             "cache_counters": cache_totals,
             "trace_cache_hit_rate": hit_rate("trace"),
             "result_cache_hit_rate": hit_rate("result"),
@@ -541,9 +536,6 @@ class TelemetryReader:
                 f"{k} x{v}"
                 for k, v in sorted(m["func_engine_mix"].items())),
         ]
-        if m["tenant_mix"]:
-            lines.append("  tenants: " + ", ".join(
-                f"{k} x{v}" for k, v in sorted(m["tenant_mix"].items())))
         if m["phase_totals"]:
             total = sum(p["wall_s"] for p in m["phase_totals"].values())
             top = sorted(m["phase_totals"].items(),
@@ -570,9 +562,6 @@ TREND_METRICS = (
     ("timing_replay", "cycles_per_s"),
     ("functional", "ops_per_s"),
     ("trace_generation_fast", "ops_per_s"),
-    ("duplicate_burst", "jobs_per_s"),
-    ("duplicate_burst", "dedupe_fraction"),
-    ("mixed_load", "jobs_per_s"),
     ("strategy_padding", "speedup_vs_auto"),
     ("strategy_peeling", "speedup_vs_auto"),
     ("strategy_unroll_jam", "speedup_vs_auto"),

@@ -52,8 +52,8 @@ def set_trace_cache_dir(path, sweep: bool = False) -> Optional[TraceCache]:
     worker processes and survives across ``vlt-repro`` invocations.
 
     ``sweep=True`` additionally removes stale orphaned ``.tmp`` files at
-    attach time; leave it off in fan-out workers (N processes opening
-    one shared root must not each stat-walk the whole tree).
+    attach time; leave it off in pool workers (N processes opening one
+    shared root must not each stat-walk the whole tree).
     """
     global _disk_cache
     _disk_cache = None if path is None \

@@ -51,7 +51,7 @@ class TestGate:
         lines, failures = cb.compare(_payload(), _payload(), 0.30)
         assert not failures
         # every row present in the payload gates OK; rows from other
-        # bench families (the service throughput file) are skipped
+        # bench families (the compiler-tradeoff file) are skipped
         assert all("OK" in ln or "skipped" in ln for ln in lines)
         assert sum("OK" in ln for ln in lines) == 4
 
@@ -149,69 +149,69 @@ class TestMinSpeedup:
             cb.main([str(b), str(b), "--min-speedup", "key:abc"])
 
 
-def _service_payload(**overrides):
+def _tradeoff_payload(**overrides):
+    """A compiler-tradeoff payload: per-strategy speedups over auto."""
     results = {
-        "duplicate_burst": {"jobs": 100, "jobs_per_s": 120.0,
-                            "simulated_runs": 1,
-                            "dedupe_fraction": 0.99},
-        "mixed_load": {"jobs": 40, "jobs_per_s": 15.0,
-                       "simulated_runs": 4},
+        "strategy_peeling": {"total_cycles": 80211,
+                             "speedup_vs_auto": 0.196033},
+        "strategy_unroll_jam": {"total_cycles": 14948,
+                                "speedup_vs_auto": 1.051913},
     }
     results.update(overrides)
-    return {"benchmark": "service_throughput", "results": results}
+    return {"benchmark": "compiler_tradeoff", "results": results}
 
 
 class TestMinMetric:
     def test_floor_met(self):
         lines, failures = cb.check_min_metrics(
-            _service_payload(),
-            [("duplicate_burst", "dedupe_fraction", 0.9)])
+            _tradeoff_payload(),
+            [("strategy_unroll_jam", "speedup_vs_auto", 0.99)])
         assert not failures
         assert any("OK" in ln for ln in lines)
 
     def test_below_floor_fails(self):
-        cand = _service_payload(
-            duplicate_burst={"jobs_per_s": 120.0,
-                             "dedupe_fraction": 0.5})
+        cand = _tradeoff_payload(
+            strategy_peeling={"total_cycles": 160422,
+                              "speedup_vs_auto": 0.098})
         _, failures = cb.check_min_metrics(
-            cand, [("duplicate_burst", "dedupe_fraction", 0.9)])
+            cand, [("strategy_peeling", "speedup_vs_auto", 0.19)])
         assert len(failures) == 1
-        assert "below required 0.9" in failures[0]
+        assert "below required 0.19" in failures[0]
 
     def test_missing_metric_fails(self):
         _, failures = cb.check_min_metrics(
-            _service_payload(), [("duplicate_burst", "nosuch", 1.0),
-                                 ("nosuchrow", "x", 1.0)])
+            _tradeoff_payload(), [("strategy_peeling", "nosuch", 1.0),
+                                  ("nosuchrow", "x", 1.0)])
         assert len(failures) == 2
         assert all("missing" in f for f in failures)
 
-    def test_service_rows_share_the_regression_gate(self):
-        """The service throughput rows ride the same --max-regression
+    def test_strategy_rows_share_the_regression_gate(self):
+        """The compiler-tradeoff rows ride the same --max-regression
         comparison; simulator-only rows are skipped, not failed."""
-        assert ("duplicate_burst", "jobs_per_s") in cb._GATED
-        assert ("mixed_load", "jobs_per_s") in cb._GATED
-        lines, failures = cb.compare(_service_payload(),
-                                     _service_payload(), 0.30)
+        assert ("strategy_peeling", "speedup_vs_auto") in cb._GATED
+        assert ("strategy_unroll_jam", "speedup_vs_auto") in cb._GATED
+        lines, failures = cb.compare(_tradeoff_payload(),
+                                     _tradeoff_payload(), 0.30)
         assert not failures
-        assert any("duplicate_burst.jobs_per_s" in ln and "OK" in ln
+        assert any("strategy_peeling.speedup_vs_auto" in ln and "OK" in ln
                    for ln in lines)
         assert any("end_to_end" in ln and "skipped" in ln
                    for ln in lines)
-        slow = _service_payload(
-            duplicate_burst={"jobs_per_s": 10.0,
-                             "dedupe_fraction": 0.99})
-        _, failures = cb.compare(_service_payload(), slow, 0.30)
-        assert failures and "duplicate_burst" in failures[0]
+        slow = _tradeoff_payload(
+            strategy_peeling={"total_cycles": 160422,
+                              "speedup_vs_auto": 0.098})
+        _, failures = cb.compare(_tradeoff_payload(), slow, 0.30)
+        assert failures and "strategy_peeling" in failures[0]
 
     def test_cli_flag(self, tmp_path, capsys):
         import json
         b = tmp_path / "base.json"
-        b.write_text(json.dumps(_service_payload()))
+        b.write_text(json.dumps(_tradeoff_payload()))
         assert cb.main([str(b), str(b), "--min-metric",
-                        "duplicate_burst:dedupe_fraction:0.9"]) == 0
+                        "strategy_unroll_jam:speedup_vs_auto:0.99"]) == 0
         assert "metric floor gates:" in capsys.readouterr().out
         assert cb.main([str(b), str(b), "--min-metric",
-                        "duplicate_burst:dedupe_fraction:0.999"]) == 1
+                        "strategy_unroll_jam:speedup_vs_auto:1.1"]) == 1
         assert "below required" in capsys.readouterr().out
         with pytest.raises(SystemExit):
             cb.main([str(b), str(b), "--min-metric", "a:b"])

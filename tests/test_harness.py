@@ -151,13 +151,51 @@ class TestCli:
                "typo on base (1 thr)" in out
         assert "KeyError" in out
 
-    def test_cli_zero_timeout_rejected(self, capsys):
+    @pytest.mark.parametrize("argv, message", [
+        (["fig3", "--timeout", "0"], "--timeout must be > 0"),
+        (["compiler-tradeoff", "--timeout", "0"], "--timeout must be > 0"),
+        (["compiler-tradeoff", "--jobs", "0"], "--jobs must be >= 1"),
+        (["fig3", "--jobs", "0"], "--jobs must be >= 1"),
+        (["fig3", "--retries", "-1"], "--retries must be >= 0"),
+    ], ids=["fig3-timeout", "tradeoff-timeout", "tradeoff-jobs",
+            "fig3-jobs", "fig3-retries"])
+    def test_cli_zero_timeout_rejected(self, argv, message, tmp_path,
+                                       capsys):
         # `--timeout 0` is falsy: it used to silently skip the runner
-        # path (and with it the limit), instead of erroring out
+        # path (and with it the limit), instead of erroring out.  The
+        # runner flags are checked once, for every verb that reads them:
+        # compiler-tradeoff used to run `--jobs 0` inline and exit 0,
+        # and the rest ended in a ValueError traceback
         from repro.harness.cli import main
-        with pytest.raises(SystemExit):
-            main(["fig3", "--apps", "mxm", "--timeout", "0"])
-        assert "--timeout must be > 0" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--apps", "mxm",
+                         "--json", str(tmp_path / "out.json")])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["fig3", "bogus", "--apps", "mxm"], ["serve"], ["all", "fig3"]],
+        ids=["fig3-bogus", "serve", "all-fig3"])
+    def test_cli_unknown_verb_rejected_before_any_run(self, argv, capsys):
+        # `fig3 bogus` used to run fig3's sweep first, then die on a
+        # KeyError traceback
+        from repro.harness.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown verb or experiment" in captured.err
+        assert "compiler-tradeoff" in captured.err   # lists valid verbs
+
+    def test_cli_all_leaves_experiment_names_intact(self, capsys):
+        # `all` used to hand main the module's own list, and the
+        # table1/table2 dedupe then removed "table2" from it for the
+        # rest of the process
+        from repro.harness.cli import EXPERIMENT_NAMES, main
+        main(["all", "--apps", "mxm", "--lanes", "1"])
+        assert "table2" in EXPERIMENT_NAMES
+        assert main(["table2"]) == 0
 
 
 class TestObservabilityCli:

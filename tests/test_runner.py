@@ -106,9 +106,9 @@ class TestAlarmOffMainThread:
     def test_timeout_spec_runs_in_worker_thread(self):
         """Regression: `_alarm` used to call `signal.signal` from
         whatever thread executed the spec, which raises ValueError
-        anywhere but the main thread -- every timed job submitted
-        through a thread pool (the service's executor) died on arrival.
-        Now it degrades to a no-op with a one-time warning."""
+        anywhere but the main thread -- every timed spec run through a
+        thread pool died on arrival.  Now it degrades to a no-op with a
+        one-time warning."""
         import threading
         import warnings
         from concurrent.futures import ThreadPoolExecutor

@@ -137,6 +137,18 @@ class TestJsonl:
         assert "missing" in problems
         assert "unknown" in problems
 
+    def test_record_with_tenant_and_job_id_still_folds(self):
+        """Older schema-3 ledgers carry a tenant and a job id; such a
+        record still validates and aggregates like any other."""
+        golden = json.loads(_GOLDEN.read_text())
+        old = dict(golden, tenant="ci", job_id="j-000001")
+        assert validate_run_record(old) == []
+        reader = TelemetryReader([old, golden])
+        m = reader.fleet_metrics()
+        assert (m["attempts"], m["ok"], m["runs"]) == (2, 2, 1)
+        assert m["total_cycles"] == 2 * golden["cycles"]
+        assert "tenant" not in reader.report()
+
 
 # --------------------------------------------------------------------------
 # Ledger schema stability + equivalence

@@ -156,9 +156,8 @@ class TestDiskCache:
 
 class TestLazySweep:
     def test_init_does_no_sweep_io(self, tmp_path):
-        """Opening a cache must not walk/mutate the tree: long-lived
-        attachers (service workers, pool children) would otherwise
-        re-sweep a huge shared cache on every startup."""
+        """Opening a cache must not walk/mutate the tree: pool workers
+        would otherwise each re-sweep a huge shared cache on startup."""
         import os
         import time
         first = TraceCache(tmp_path)
@@ -188,46 +187,6 @@ class TestLazySweep:
         assert stale.exists()
         set_trace_cache_dir(tmp_path, sweep=True)
         assert not stale.exists()
-
-
-class TestBudgetEviction:
-    def _entry(self, cache, src, age_s):
-        import os
-        import time
-        prog = assemble(src)
-        path = cache.store_trace(prog.digest(), 1, trace_for(prog, 1))
-        t = time.time() - age_s
-        os.utime(path, (t, t))
-        return prog, path
-
-    def test_lru_eviction_to_budget(self, tmp_path):
-        cache = TraceCache(tmp_path)
-        _, old = self._entry(cache, _SRC_A, age_s=600)
-        _, new = self._entry(cache, _SRC_B, age_s=60)
-        budget = new.stat().st_size          # room for exactly one
-        assert cache.enforce_budget(budget) == 1
-        assert not old.exists()              # oldest went first
-        assert new.exists()
-        assert cache.disk_usage() <= budget
-        assert cache.counters()["evictions"] == 1
-
-    def test_hits_refresh_recency(self, tmp_path):
-        cache = TraceCache(tmp_path)
-        prog_a, path_a = self._entry(cache, _SRC_A, age_s=600)
-        _, path_b = self._entry(cache, _SRC_B, age_s=300)
-        # a hit on the older entry bumps it to most-recently-used
-        assert cache.load_trace(prog_a.digest(), 1) is not None
-        assert cache.enforce_budget(path_a.stat().st_size) >= 1
-        assert path_a.exists()
-        assert not path_b.exists()
-
-    def test_budget_zero_and_negative(self, tmp_path):
-        cache = TraceCache(tmp_path)
-        self._entry(cache, _SRC_A, age_s=60)
-        with pytest.raises(ValueError):
-            cache.enforce_budget(-1)
-        assert cache.enforce_budget(0) == 1
-        assert cache.disk_usage() == 0
 
 
 class TestDefaultProfiler:
