@@ -617,10 +617,20 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"unavailable: {exc.spec} (see runner failures above)")
             return 1
         print(render_tradeoff(res))
-        out = args.json or "BENCH_compiler_tradeoff.json"
-        with open(out, "w") as fh:
-            json.dump(bench_payload(res), fh, indent=2)
-        print(f"\nwrote {out}")
+        # the default file is the full sweep's baseline (CI compares
+        # against it); a narrowed sweep must not replace it
+        full = (args.apps is None and args.strategies is None
+                and args.config == "base" and args.threads == 1)
+        out = args.json or ("BENCH_compiler_tradeoff.json" if full
+                            else None)
+        if out is None:
+            print("\nwrote no file: a narrowed sweep (--apps, "
+                  "--strategies, --config or --threads) writes only to "
+                  "--json, never to BENCH_compiler_tradeoff.json")
+        else:
+            with open(out, "w") as fh:
+                json.dump(bench_payload(res), fh, indent=2)
+            print(f"\nwrote {out}")
         return 1 if (runner is not None and runner.failures) else 0
 
     if args.experiments[0] == "tele":

@@ -20,6 +20,14 @@ A worker process dying outright (the pool breaks) triggers a fallback
 pass that re-runs each remaining spec in its own single-worker pool, so
 one poisoned spec cannot take healthy ones down with it.
 
+Specs that replay one trace on configurations differing only in the
+vector unit (Figure 1's lane counts) form a replay group
+(:func:`replay_groups`): one pool task, or one block of the serial
+path, that replays the part before the vector unit is first reached
+once (:class:`~repro.timing.machine.SharedPrefix`).  Each member keeps
+its own result-cache lookup, timeout, payload, ledger record and
+attempt count.
+
 Fleet telemetry (:mod:`repro.obs.telemetry`): with a
 :class:`~repro.obs.telemetry.Telemetry` sink attached, every run
 *attempt* -- including retries and worker crashes -- lands as one JSONL
@@ -49,7 +57,7 @@ import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Union
 
 from ..functional.trace_cache import result_key
@@ -59,6 +67,7 @@ from ..obs.telemetry import (LEDGER_SCHEMA, SpanCollector, Telemetry,
                              set_span_collector, span, write_timeline)
 from ..timing import run as timing_run
 from ..timing.config import get_config
+from ..timing.machine import SharedPrefix
 from ..timing.stats import RunResult
 
 #: test hook: crash the worker executing ``<app>:<config>``
@@ -152,6 +161,29 @@ class MissingRunError(KeyError):
         return str(self.spec)
 
 
+def replay_groups(specs: Sequence[RunSpec]) -> List[List[RunSpec]]:
+    """Split ``specs`` into replay groups, in first-appearance order.
+
+    Specs group when they run one program (app, flavour and strategy)
+    with one thread count on configurations that both have a vector
+    unit, are not lane-scalar and differ only in ``name`` and ``vu``.
+    Every other spec is a group of one.
+    """
+    groups: Dict[object, List[RunSpec]] = {}
+    for spec in specs:
+        key: object = spec
+        try:
+            cfg = get_config(spec.config)
+        except KeyError:
+            cfg = None
+        if cfg is not None and cfg.vu is not None \
+                and not cfg.lane_scalar_mode:
+            key = (spec.app, spec.scalar_only, spec.strategy, spec.threads,
+                   replace(cfg, name="", vu=None))
+        groups.setdefault(key, []).append(spec)
+    return list(groups.values())
+
+
 # --------------------------------------------------------------------------
 # Worker side
 # --------------------------------------------------------------------------
@@ -216,7 +248,8 @@ def _worker_init(cache_dir: Optional[str]) -> None:
 
 def _spec_payload(spec: RunSpec, timeout_s: Optional[float],
                   max_cycles: int, verify: bool, prof: PhaseProfiler,
-                  ctx: Dict[str, object]) -> Dict[str, object]:
+                  ctx: Dict[str, object],
+                  share: Optional[SharedPrefix]) -> Dict[str, object]:
     """The run body: returns a success payload or raises.
 
     ``ctx`` collects facts known before a potential failure (the cache
@@ -246,7 +279,8 @@ def _spec_payload(spec: RunSpec, timeout_s: Optional[float],
                         "trace_cached": None}
         with span("simulate"):
             result = simulate(prog, cfg, num_threads=spec.threads,
-                              max_cycles=max_cycles, profiler=prof)
+                              max_cycles=max_cycles, profiler=prof,
+                              share=share)
         # the profiler only records trace_generation when the functional
         # executor actually ran; absence means cache/memo served it
         trace_cached = "trace_generation" not in prof.phases
@@ -269,7 +303,8 @@ def _spec_payload(spec: RunSpec, timeout_s: Optional[float],
 def _execute_spec(spec: RunSpec, timeout_s: Optional[float],
                   max_cycles: int,
                   verify: bool = False,
-                  telemetry: bool = False) -> Dict[str, object]:
+                  telemetry: bool = False,
+                  share: Optional[SharedPrefix] = None) -> Dict[str, object]:
     """Execute one spec; never raises (failures come back as data).
 
     Runs in a worker process (or inline for ``jobs=1``).  The payload is
@@ -288,6 +323,9 @@ def _execute_spec(spec: RunSpec, timeout_s: Optional[float],
     structured ``DifferentialMismatch`` failure.  Verified runs skip
     the result-cache fast path -- a cached number is exactly what an
     unvalidated bug would hide behind.
+
+    ``share`` is the :class:`~repro.timing.machine.SharedPrefix` of the
+    spec's replay group, if it has one.
     """
     crash = os.environ.get(_CRASH_ENV)
     if crash and crash == f"{spec.app}:{spec.config}":
@@ -306,7 +344,7 @@ def _execute_spec(spec: RunSpec, timeout_s: Optional[float],
             with span("run_attempt", app=spec.app, config=spec.config,
                       threads=spec.threads):
                 payload = _spec_payload(spec, timeout_s, max_cycles,
-                                        verify, prof, ctx)
+                                        verify, prof, ctx, share)
         except Exception as exc:
             payload = {"error": {"type": type(exc).__name__,
                                  "message": str(exc),
@@ -330,6 +368,21 @@ def _execute_spec(spec: RunSpec, timeout_s: Optional[float],
         payload["spans"] = col.spans
         payload["worker"] = col.worker
     return payload
+
+
+def _share_for(group: Sequence[RunSpec]) -> Optional[SharedPrefix]:
+    """A group of one has nothing to share, so it keeps no snapshot."""
+    return SharedPrefix() if len(group) > 1 else None
+
+
+def _execute_group(specs: List[RunSpec], timeout_s: Optional[float],
+                   max_cycles: int, verify: bool = False,
+                   telemetry: bool = False) -> List[Dict[str, object]]:
+    """Execute one replay group's specs in order, sharing one
+    :class:`~repro.timing.machine.SharedPrefix`; one payload per spec."""
+    share = _share_for(specs)
+    return [_execute_spec(spec, timeout_s, max_cycles, verify, telemetry,
+                          share=share) for spec in specs]
 
 
 # --------------------------------------------------------------------------
@@ -598,19 +651,29 @@ class ExperimentRunner:
         return not (isinstance(err, dict)
                     and err.get("type") == "DifferentialMismatch")
 
+    def _groups(self, specs: Sequence[RunSpec]) -> List[List[RunSpec]]:
+        """Replay groups; a verified run replays alone, since the
+        differential check is what vouches for its numbers."""
+        if self.verify:
+            return [[s] for s in specs]
+        return replay_groups(specs)
+
     def _run_serial(self, specs: Sequence[RunSpec]) -> None:
-        for spec in specs:
-            for attempt in range(1, self.retries + 2):
-                self._submit_t[spec] = time.time()
-                payload = _execute_spec(spec, self.timeout, self.max_cycles,
-                                        self.verify,
-                                        self.telemetry is not None)
-                self._note_attempt(spec, payload, attempt)
-                done = self._record(spec, payload, attempt) \
-                    or not self._retryable(payload)
-                self._progress_tick(done or attempt == self.retries + 1)
-                if done:
-                    break
+        for group in self._groups(specs):
+            share = _share_for(group)
+            for spec in group:
+                for attempt in range(1, self.retries + 2):
+                    self._submit_t[spec] = time.time()
+                    payload = _execute_spec(spec, self.timeout,
+                                            self.max_cycles, self.verify,
+                                            self.telemetry is not None,
+                                            share=share)
+                    self._note_attempt(spec, payload, attempt)
+                    done = self._record(spec, payload, attempt) \
+                        or not self._retryable(payload)
+                    self._progress_tick(done or attempt == self.retries + 1)
+                    if done:
+                        break
 
     def _run_parallel(self, specs: Sequence[RunSpec],
                       cache_dir: Optional[str]) -> None:
@@ -631,59 +694,67 @@ class ExperimentRunner:
     def _pool_round(self, specs: List[RunSpec],
                     pending: Dict[RunSpec, int],
                     cache_dir: Optional[str]) -> bool:
-        """One pool pass over ``specs``; returns True if the pool broke.
+        """One pool pass over ``specs``, one task per replay group;
+        returns True if the pool broke.
 
         Successes and retry-exhausted failures leave ``pending``;
         retryable failures stay with their attempt count bumped.
         """
-        futs: Dict[object, RunSpec] = {}
+        futs: Dict[object, List[RunSpec]] = {}
         observed: Set[object] = set()   # futures already folded in
         telemetry = self.telemetry is not None
+        groups = self._groups(specs)
         try:
             with ProcessPoolExecutor(
-                    max_workers=min(self.jobs, len(specs)),
+                    max_workers=min(self.jobs, len(groups)),
                     initializer=_worker_init,
                     initargs=(cache_dir,)) as pool:
-                for s in specs:
-                    self._submit_t[s] = time.time()
-                    futs[pool.submit(_execute_spec, s, self.timeout,
+                for group in groups:
+                    t_submit = time.time()
+                    for s in group:
+                        self._submit_t[s] = t_submit
+                    futs[pool.submit(_execute_group, group, self.timeout,
                                      self.max_cycles, self.verify,
-                                     telemetry)] = s
+                                     telemetry)] = group
                 not_done = set(futs)
                 while not_done:
                     done, not_done = wait(not_done,
                                           return_when=FIRST_COMPLETED)
                     for fut in done:
-                        spec = futs[fut]
+                        group = futs[fut]
                         exc = fut.exception()
                         if isinstance(exc, BrokenProcessPool):
                             raise exc
-                        attempts = pending[spec] + 1
                         if exc is not None:   # pragma: no cover - defensive
-                            payload = {"error": {
+                            payloads = [{"error": {
                                 "type": type(exc).__name__,
                                 "message": str(exc), "traceback": ""}}
+                                for _ in group]
                         else:
-                            payload = fut.result()
+                            payloads = fut.result()
                         observed.add(fut)
-                        self._note_attempt(spec, payload, attempts)
-                        ok = (payload.get("error") is None)
-                        if ok or attempts > self.retries \
-                                or not self._retryable(payload):
-                            self._record(spec, payload, attempts)
-                            del pending[spec]
-                            self._progress_tick(True)
-                        else:
-                            pending[spec] = attempts
-                            self._progress_tick(False)
+                        for spec, payload in zip(group, payloads):
+                            attempts = pending[spec] + 1
+                            self._note_attempt(spec, payload, attempts)
+                            ok = (payload.get("error") is None)
+                            if ok or attempts > self.retries \
+                                    or not self._retryable(payload):
+                                self._record(spec, payload, attempts)
+                                del pending[spec]
+                                self._progress_tick(True)
+                            else:
+                                pending[spec] = attempts
+                                self._progress_tick(False)
             return False
         except BrokenProcessPool:
             # Sweep up futures that genuinely completed before the break
             # so their results are not lost to the quarantine pass.
-            for fut, spec in futs.items():
-                if spec in pending and fut.done() \
-                        and fut.exception() is None:
-                    payload = fut.result()
+            for fut, group in futs.items():
+                if not fut.done() or fut.exception() is not None:
+                    continue
+                for spec, payload in zip(group, fut.result()):
+                    if spec not in pending:
+                        continue
                     if fut not in observed:
                         self._note_attempt(spec, payload,
                                            pending[spec] + 1)

@@ -8,7 +8,8 @@ from .config import (BASE, CMT, CONFIGS, V2_CMP, V2_CMP_H, V2_SMT, V4_CMP,
                      VectorUnitConfig, base_config, get_config)
 from .l2 import BankedL2, L2Stats
 from .lane_core import LaneCore
-from .machine import Machine, SimulationError, run_traces
+from .machine import (Machine, SharedPrefix, SimulationError,
+                      run_traces)
 from .pipeview import PipeView, simulate_with_pipeview
 from .run import (TracedRun, clear_trace_cache, simulate, simulate_traced,
                   trace_for)
@@ -23,7 +24,8 @@ __all__ = [
     "V4_CMP_H", "V4_CMT", "V4_SMT", "VLT_SCALAR", "L2Config",
     "LaneCoreConfig", "MachineConfig", "ScalarUnitConfig",
     "VectorUnitConfig", "base_config", "get_config",
-    "BankedL2", "L2Stats", "LaneCore", "Machine", "SimulationError",
+    "BankedL2", "L2Stats", "LaneCore", "Machine", "SharedPrefix",
+    "SimulationError",
     "PipeView", "simulate_with_pipeview",
     "run_traces", "clear_trace_cache", "simulate", "simulate_traced",
     "TracedRun", "trace_for",

@@ -26,6 +26,16 @@ class BimodalPredictor:
         self.lookups = 0
         self.mispredicts = 0
 
+    def __deepcopy__(self, memo) -> "BimodalPredictor":
+        """A copy with its own counters (a machine fork), made without
+        deepcopy's per-entry walk."""
+        twin = BimodalPredictor.__new__(BimodalPredictor)
+        twin._table = self._table[:]
+        twin._mask = self._mask
+        twin.lookups = self.lookups
+        twin.mispredicts = self.mispredicts
+        return twin
+
     def predict_and_update(self, pc: int, taken: bool) -> bool:
         """Predict the branch at ``pc``, train on ``taken``; True if correct."""
         idx = pc & self._mask

@@ -10,6 +10,7 @@ report writeback effects).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -33,6 +34,9 @@ class CacheStats:
 class Cache:
     """A single-level set-associative tag array with LRU replacement."""
 
+    __slots__ = ("name", "bus", "line_bytes", "assoc", "num_sets", "_sets",
+                 "stats")
+
     def __init__(self, size_bytes: int, assoc: int, line_bytes: int,
                  name: str = "cache", bus: Optional[EventBus] = None):
         if size_bytes % (assoc * line_bytes):
@@ -51,6 +55,14 @@ class Cache:
         # made on its set's first fill: None is an empty set.
         self._sets: List[Optional[List[int]]] = [None] * self.num_sets
         self.stats = CacheStats()
+
+    def __deepcopy__(self, memo) -> "Cache":
+        """A copy with its own tags and stats (a machine fork), made
+        without deepcopy's per-tag walk; the event bus is shared."""
+        twin = copy.copy(self)
+        twin._sets = [s if s is None else s[:] for s in self._sets]
+        twin.stats = copy.copy(self.stats)
+        return twin
 
     def _locate(self, addr: int):
         line = addr // self.line_bytes

@@ -41,6 +41,8 @@ class L2Stats:
 class BankedL2:
     """Shared multi-banked L2 with per-bank occupancy."""
 
+    __slots__ = ("cfg", "bus", "tags", "bank_free", "stats")
+
     def __init__(self, cfg: L2Config, bus: Optional[EventBus] = None):
         self.cfg = cfg
         self.bus = bus if bus is not None else NULL_BUS

@@ -11,10 +11,17 @@ barrier overhead (the paper's "thread API overhead").
 The loop skips ahead over globally-idle stretches (all units waiting on
 a known future time), which makes barrier-imbalanced and memory-bound
 phases cheap to simulate.
+
+Configurations that differ only in the vector unit replay the same
+cycles until a thread first reaches it, so a :class:`SharedPrefix`
+lets a group of them replay that prefix once (:meth:`Machine.fork`).
 """
 
 from __future__ import annotations
 
+import copy
+from contextlib import nullcontext
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from ..functional.trace import ProgramTrace, ThreadTrace
@@ -23,7 +30,7 @@ from ..obs.events import (BARRIER_ARRIVE, BARRIER_RELEASE, Event, EventBus,
 from .config import MachineConfig
 from .l2 import BankedL2
 from .lane_core import LaneCore
-from .scalar_unit import ScalarUnit
+from .scalar_unit import ScalarUnit, first_vu_op
 from .stats import DatapathUtilization, RunResult
 from .vcl import VectorUnit
 
@@ -45,6 +52,15 @@ class Machine:
     instead, so event payloads are the DynOps that diff, pipeview and
     the metric sinks know.
     """
+
+    # Slots here and on the SU, L2 and caches keep a fork's attribute
+    # reads as fast as a built machine's: deepcopy fills a plain
+    # instance through its __dict__, and replay ran ~10 % slower on
+    # such copies (CPython 3.11).
+    __slots__ = ("cfg", "num_threads", "max_cycles", "obs", "l2", "sus",
+                 "lane_cores", "vu", "_threads", "_finish", "_halted_count",
+                 "_barrier_arrived", "_barrier_latest", "barrier_count",
+                 "barrier_release_cycles", "cycle", "done", "_active_sus")
 
     def __init__(self, cfg: MachineConfig, threads: List[ThreadTrace],
                  max_cycles: int = 50_000_000,
@@ -69,6 +85,9 @@ class Machine:
         self._barrier_latest = 0
         self.barrier_count = 0
         self.barrier_release_cycles: List[int] = []
+        #: where :meth:`run_loop` resumes, and whether it has finished
+        self.cycle = 0
+        self.done = False
 
         replays = [t.replay() for t in threads]
         if self.obs.enabled:
@@ -103,18 +122,61 @@ class Machine:
                 self._threads[tid] = ("lane", core, None)
         else:
             if cfg.vu is not None:
-                line = cfg.l2.line
-                self.vu = VectorUnit(
-                    cfg.vu, self.l2, cfg.lane_partitions(self.num_threads),
-                    bus=self.obs,
-                    invalidate=lambda lines: self.l1d_invalidate_lines(
-                        lines, line))
+                self.vu = self._vector_unit()
             for tid, (u, _ctx) in enumerate(cfg.placement(self.num_threads)):
                 ctx = self.sus[u].add_thread(tid, replays[tid], ops[tid])
                 self._threads[tid] = ("su", self.sus[u], ctx)
         #: the SUs that hold a context: any other never steps, so its
         #: L1s stay empty (every SU of a lane-core run)
         self._active_sus = [su for su in self.sus if su.contexts]
+
+    def _vector_unit(self) -> VectorUnit:
+        """A fresh vector unit for this machine's configuration."""
+        line = self.cfg.l2.line
+        return VectorUnit(
+            self.cfg.vu, self.l2, self.cfg.lane_partitions(self.num_threads),
+            bus=self.obs,
+            invalidate=lambda lines: self.l1d_invalidate_lines(lines, line))
+
+    def fork(self, cfg: MachineConfig) -> "Machine":
+        """A copy of this machine that goes on as ``cfg``, with a fresh
+        vector unit built for ``cfg``.
+
+        ``cfg`` may differ from this machine's configuration only in
+        ``name`` and ``vu``, and the vector unit must be untouched: no
+        op dispatched to it and no repartition.  Until then nothing
+        another unit or the loop asks it depends on its configuration
+        (docs/timing-model.md), so the copy goes on exactly as a replay
+        of ``cfg`` from cycle 0 would.  Every mutable unit is copied;
+        the replay forms, the per-op lists and per-pc records, the
+        configurations and the (disabled) event bus are shared.
+        """
+        vu = self.vu
+        if (vu is None or cfg.vu is None or cfg.lane_scalar_mode
+                or replace(cfg, name=self.cfg.name, vu=self.cfg.vu)
+                != self.cfg):
+            raise ValueError(
+                f"cannot fork {self.cfg.name} as {cfg.name}: they differ "
+                f"in more than the vector unit")
+        if vu.dispatched or vu.repartitions:
+            raise RuntimeError(
+                f"cannot fork {self.cfg.name}: its vector unit has been "
+                f"used")
+        if self.obs.enabled:
+            raise RuntimeError(
+                f"cannot fork {self.cfg.name}: a traced machine's event "
+                f"stream is its own")
+        memo = {id(self.cfg): cfg, id(vu): None, id(self.obs): self.obs,
+                id(self.l2.cfg): self.l2.cfg}
+        for su in self.sus:
+            memo[id(su.cfg)] = su.cfg
+        for _, _, ctx in self._threads.values():
+            for shared in (ctx.replay, ctx.trace, ctx.vlines,
+                           *ctx.replay.records):
+                memo[id(shared)] = shared
+        twin = copy.deepcopy(self, memo)
+        twin.vu = twin._vector_unit()
+        return twin
 
     # -- barrier / completion callbacks -----------------------------------------
 
@@ -189,14 +251,25 @@ class Machine:
     def run(self) -> RunResult:
         return self._result(self.run_loop())
 
-    def run_loop(self) -> int:
-        """Advance the machine to completion; returns the final cycle.
+    def run_loop(self, stop: bool = False) -> int:
+        """Advance the machine from :attr:`cycle` until every thread has
+        finished and set :attr:`done`; returns the final cycle.
+
+        With ``stop`` the loop instead returns at the start of the first
+        cycle in which some SU context could fetch an op that reaches
+        the vector unit (:func:`~.scalar_unit.first_vu_op`): a context
+        fetches at most its SU's width per cycle.  Then :attr:`cycle`
+        is that cycle, :attr:`done` stays False, and a later call
+        resumes there.
 
         Split out from :meth:`run` so callers (host-side profiling, the
         ``profile`` CLI verb) can time the replay loop separately from
         result assembly.
         """
-        cycle = 0
+        cycle = self.cycle
+        if self.done:
+            return cycle
+        watch = self._vu_horizon() if stop else None
         sus = self._active_sus
         vu = self.vu
         cores = self.lane_cores
@@ -208,6 +281,11 @@ class Machine:
         # its dispatch count, so then it is False without asking.
         vu_busy = vu is not None
         while True:
+            if watch:
+                for ctx, last in watch:
+                    if ctx.fetch_idx > last:
+                        self.cycle = cycle
+                        return cycle
             if obs_on:
                 obs.now = cycle
             if vu_busy:
@@ -256,7 +334,24 @@ class Machine:
                 raise SimulationError(
                     f"{self.cfg.name}: exceeded {self.max_cycles} cycles")
 
+        self.cycle = cycle
+        self.done = True
         return cycle
+
+    def _vu_horizon(self) -> List[Tuple[object, int]]:
+        """``(context, last)`` for each SU context that reaches the
+        vector unit: it may fetch in a cycle that starts with its fetch
+        index at most ``last`` without reaching it."""
+        if self.vu is None:
+            return []
+        parts = len(self.vu.partitions)
+        watch = []
+        for kind, su, ctx in self._threads.values():
+            if kind == "su":
+                first = first_vu_op(ctx.replay, parts, self.num_threads)
+                if first is not None:
+                    watch.append((ctx, first - su.cfg.width))
+        return watch
 
     # -- result assembly ---------------------------------------------------------------
 
@@ -302,27 +397,72 @@ class Machine:
         )
 
 
+class SharedPrefix:
+    """One replay prefix shared by a group of runs of one trace whose
+    configurations differ only in the vector unit.
+
+    The caller makes one per group and hands it to each member's
+    :func:`run_traces`.  The first member replays up to the start of
+    the first cycle in which a thread could reach the vector unit,
+    keeps a fork of that machine as :attr:`snapshot` and finishes; each
+    later member finishes from its own fork of the snapshot.  If the
+    first member fails before the snapshot is kept, the later ones
+    replay unshared.
+    """
+
+    def __init__(self) -> None:
+        self.claimed = False
+        self.snapshot: Optional[Machine] = None
+        self.trace: Optional[ProgramTrace] = None
+
+    def machine(self, cfg: MachineConfig, trace: ProgramTrace,
+                max_cycles: int) -> Machine:
+        """A later member's machine: a fork of the snapshot as ``cfg``."""
+        snap = self.snapshot
+        if snap is None:
+            return Machine(cfg, trace.threads, max_cycles=max_cycles)
+        if trace is not self.trace or max_cycles != snap.max_cycles:
+            raise ValueError("a SharedPrefix serves one trace and one "
+                             "cycle budget")
+        return snap.fork(cfg)
+
+
 def run_traces(cfg: MachineConfig, trace: ProgramTrace,
                max_cycles: int = 50_000_000,
                obs: Optional[EventBus] = None,
-               profiler=None) -> RunResult:
+               profiler=None,
+               share: Optional[SharedPrefix] = None) -> RunResult:
     """Replay a functional :class:`ProgramTrace` on configuration ``cfg``.
 
     ``obs`` attaches an observability event bus; ``profiler`` (a
     :class:`repro.obs.hostprof.PhaseProfiler`) records host wall-time
-    for the ``setup`` / ``replay`` / ``stats`` simulation phases.
+    for the ``setup`` / ``replay`` / ``stats`` simulation phases; the
+    copy of a shared prefix counts as ``setup``.  ``share`` is the
+    :class:`SharedPrefix` of this run's group.  A traced run, or one
+    without a vector unit or on the lanes, does not share.
     """
-    def build():
-        return Machine(cfg, trace.threads, max_cycles=max_cycles, obs=obs)
-
-    if profiler is None:
-        result = build().run()
-    else:
-        with profiler.phase("setup"):
-            machine = build()
-        with profiler.phase("replay"):
-            cycle = machine.run_loop()
-        with profiler.phase("stats"):
-            result = machine._result(cycle)
+    phase = profiler.phase if profiler is not None else nullcontext
+    if share is not None and ((obs is not None and obs.enabled)
+                              or cfg.vu is None or cfg.lane_scalar_mode):
+        share = None
+    lead = share is not None and not share.claimed
+    if lead:
+        share.claimed = True
+    with phase("setup"):
+        if share is None or lead:
+            machine = Machine(cfg, trace.threads, max_cycles=max_cycles,
+                              obs=obs)
+        else:
+            machine = share.machine(cfg, trace, max_cycles)
+    if lead:
+        with phase("replay"):
+            machine.run_loop(stop=True)
+        with phase("setup"):
+            share.snapshot = machine.fork(cfg)
+            share.trace = trace
+    with phase("replay"):
+        cycle = machine.run_loop()
+    with phase("stats"):
+        result = machine._result(cycle)
     result.program_name = trace.program_name
     return result

@@ -26,7 +26,7 @@ from ..obs.events import EventBus, EventLog
 from ..obs.hostprof import PhaseProfiler
 from ..obs.metrics import MetricsRegistry, MetricsSink
 from .config import MachineConfig
-from .machine import run_traces
+from .machine import SharedPrefix, run_traces
 from .stats import RunResult
 
 #: in-process memo: (program content digest, num_threads) -> trace.
@@ -134,12 +134,15 @@ def simulate(program: Program, cfg: MachineConfig, num_threads: int = 1,
              max_cycles: int = 50_000_000,
              trace: Optional[ProgramTrace] = None,
              obs: Optional[EventBus] = None,
-             profiler: Optional[PhaseProfiler] = None) -> RunResult:
+             profiler: Optional[PhaseProfiler] = None,
+             share: Optional[SharedPrefix] = None) -> RunResult:
     """Run ``program`` on machine ``cfg`` and return timing results.
 
     ``obs`` attaches an observability event bus (see :mod:`repro.obs`);
-    ``profiler`` records host-side wall time per simulation phase.
-    Neither affects simulated cycle counts.
+    ``profiler`` records host-side wall time per simulation phase;
+    ``share`` is the :class:`~repro.timing.machine.SharedPrefix` of a
+    group of runs that differ only in the vector unit.  None of them
+    affects simulated cycle counts.
     """
     if profiler is None:
         profiler = _default_profiler
@@ -148,7 +151,7 @@ def simulate(program: Program, cfg: MachineConfig, num_threads: int = 1,
     elif trace.num_threads != num_threads:
         raise ValueError("supplied trace has a different thread count")
     return run_traces(cfg, trace, max_cycles=max_cycles, obs=obs,
-                      profiler=profiler)
+                      profiler=profiler, share=share)
 
 
 @dataclass

@@ -43,6 +43,8 @@ import heapq
 from collections import deque
 from typing import Deque, List, Optional, TYPE_CHECKING
 
+import numpy as np
+
 from ..functional.trace import ReplayTrace
 from ..isa.opcodes import OPCODES
 from ..isa.registers import NUM_REG_UIDS
@@ -88,6 +90,24 @@ def _fetch_class(spec) -> int:
 
 #: each opcode's fetch class, by mnemonic
 FETCH_CLASS = {name: _fetch_class(sp) for name, sp in OPCODES.items()}
+
+
+def first_vu_op(replay: ReplayTrace, partitions: int,
+                num_threads: int) -> Optional[int]:
+    """Index of the first op of ``replay`` the frontend takes to the
+    vector unit: a vector op, or a ``vltcfg`` whose thread count is not
+    the unit's ``partitions``.  ``None`` if the trace has neither."""
+    classes = np.array([FETCH_CLASS[r.op] for r in replay.records],
+                       dtype=np.int8)[replay.index]
+    vector = np.flatnonzero(classes == _VECTOR)
+    first = int(vector[0]) if vector.size else None
+    imms = replay.imms
+    for i in np.flatnonzero(classes == _VLTCFG).tolist():
+        if first is not None and i > first:
+            break
+        if (imms[i] if imms[i] > 0 else num_threads) != partitions:
+            return i
+    return first
 
 
 class SEntry:
@@ -184,6 +204,11 @@ class ScalarUnit:
     L1 and branch-predictor counters of :attr:`stats` are filled in from
     the caches and the predictor when the run's result is assembled.
     """
+
+    __slots__ = ("machine", "index", "cfg", "l2", "obs", "stats", "l1i",
+                 "l1d", "bpred", "contexts", "rob_occupancy", "_seq",
+                 "_ready_heap", "_issueq_arith", "_issueq_mem", "_fetch_rr",
+                 "_commit_rr", "_rotations")
 
     def __init__(self, machine: "Machine", index: int,
                  cfg: ScalarUnitConfig, l2: BankedL2):

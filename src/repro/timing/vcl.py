@@ -185,6 +185,8 @@ class VectorUnit:
         self._build_partitions(lane_split)
         #: vector instructions dispatched so far (each VEntry's seq)
         self.dispatched = 0
+        #: repartitions that changed the partition count
+        self.repartitions = 0
         self._rr = 0
         self.last_completion = 0
 
@@ -255,6 +257,7 @@ class VectorUnit:
                 self._folded_util = self._folded_util.merged(part.util)
         self._build_partitions([lanes // num_parts] * num_parts)
         self._rr = 0
+        self.repartitions += 1
 
     # -- SU-side interface ------------------------------------------------------
 

@@ -1,5 +1,7 @@
 """Experiment harness: drivers, report rendering, CLI, docgen."""
 
+import json
+
 import pytest
 
 from repro.harness import experiments as E
@@ -187,6 +189,25 @@ class TestCli:
         assert captured.out == ""
         assert "unknown verb or experiment" in captured.err
         assert "compiler-tradeoff" in captured.err   # lists valid verbs
+
+    def test_narrowed_tradeoff_keeps_the_baseline(self, tmp_path,
+                                                  monkeypatch, capsys):
+        # a narrowed sweep run from the repo root used to replace the
+        # full-sweep baseline CI gates against, and exit 0
+        from repro.harness.cli import main
+        baseline = tmp_path / "BENCH_compiler_tradeoff.json"
+        sentinel = b'{"benchmark": "compiler_tradeoff", "sentinel": 1}\n'
+        baseline.write_bytes(sentinel)
+        monkeypatch.chdir(tmp_path)
+        assert main(["compiler-tradeoff", "--apps", "mxm"]) == 0
+        assert baseline.read_bytes() == sentinel
+        assert "wrote no file: a narrowed sweep" in capsys.readouterr().out
+        # --json still writes the narrowed payload where it is told
+        assert main(["compiler-tradeoff", "--apps", "mxm",
+                     "--json", "narrow.json"]) == 0
+        assert baseline.read_bytes() == sentinel
+        payload = json.loads((tmp_path / "narrow.json").read_text())
+        assert payload["benchmark"] == "compiler_tradeoff"
 
     def test_cli_all_leaves_experiment_names_intact(self, capsys):
         # `all` used to hand main the module's own list, and the

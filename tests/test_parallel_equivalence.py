@@ -22,7 +22,8 @@ EXPERIMENTS_MD = Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
 
 
 def test_jobs4_matches_jobs1_full_matrix(tmp_path, count_simulations):
-    """The serial results also equal ``tests/data/runresults_golden.json``.
+    """The serial and the parallel results also equal
+    ``tests/data/runresults_golden.json``, field by field.
 
     Regenerate the golden (only for a change meant to move cycles) with
     ``PYTHONPATH=src python -m tests.goldens``.
@@ -37,13 +38,16 @@ def test_jobs4_matches_jobs1_full_matrix(tmp_path, count_simulations):
     set_trace_cache_dir(None)
 
     assert not serial.failures and not parallel.failures
-    cycles1 = {s: o.result.cycles for s, o in out1.items()}
-    cycles4 = {s: o.result.cycles for s, o in out4.items()}
-    assert cycles1 == cycles4
+    # every field, not only cycles: both paths replay each lane sweep
+    # as one group, in a worker or in-process
+    records1 = {s: goldens.record(o.result) for s, o in out1.items()}
+    records4 = {s: goldens.record(o.result) for s, o in out4.items()}
+    assert records1 == records4
     pinned = set(E.matrix_for(goldens.FIGS))
-    off = goldens.mismatches({s: o.result for s, o in out1.items()
-                              if s in pinned})
-    assert not off, f"moved off the golden: {off}"
+    for out in (out1, out4):
+        off = goldens.mismatches({s: o.result for s, o in out.items()
+                                  if s in pinned})
+        assert not off, f"moved off the golden: {off}"
 
     # the document only looks runs up: its one simulation site is the
     # extensions report's two phased kernels, which are not workloads

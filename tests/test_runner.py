@@ -1,13 +1,17 @@
 """The parallel experiment runner: equivalence, caching, fault capture."""
 
+import json
 import os
+import re
 
 import pytest
 
 from repro.harness import experiments as E
-from repro.harness.runner import (ExperimentRunner, MissingRunError, RunSpec)
+from repro.harness.runner import (ExperimentRunner, MissingRunError, RunSpec,
+                                  replay_groups, run_record)
 from repro.timing.config import V2_CMP
 from repro.timing.run import set_trace_cache_dir
+from tests import goldens
 
 _SPECS = [RunSpec("mpenc", "base", 1),
           RunSpec("mpenc", "V2-CMP", 2),
@@ -100,6 +104,102 @@ class TestFailureCapture:
         monkeypatch.delenv("VLT_RUNNER_TEST_CRASH")
         serial = _cycles(ExperimentRunner(jobs=1).run(survivors))
         assert serial == {s: out[s].result.cycles for s in survivors}
+
+
+def _ledger(tele_dir):
+    return [json.loads(line)
+            for line in (tele_dir / "ledger.jsonl").read_text().splitlines()]
+
+
+class TestReplayGroups:
+    """Specs that differ only in the vector unit share one replay
+    prefix: one pool task (or serial block) per group, one outcome,
+    ledger record and attempt count per spec."""
+
+    def test_fig1_forms_one_group_per_app(self):
+        groups = replay_groups(E.matrix_for(["fig1", "table4"]))
+        assert [g[0].app for g in groups] == list(E.ALL_APPS)
+        for g in groups:
+            assert [s.app for s in g] == [g[0].app] * 4
+            assert [s.config for s in g] == [
+                "base-1lane", "base-2lane", "base-4lane", "base"]
+
+    @pytest.mark.parametrize("names", [["fig3"], ["fig5"],
+                                       ["fig3", "fig4", "fig5"], ["fig6"]])
+    def test_other_figures_form_none(self, names):
+        specs = E.matrix_for(names)
+        assert replay_groups(specs) == [[s] for s in specs]
+
+    def test_doc_matrix_groups(self):
+        multi = [g for g in replay_groups(E.doc_matrix()) if len(g) > 1]
+        assert len(multi) == 13
+        # the four 4-thread extension groups: V4-CMP and its replicated
+        # VCL, plus trfd's 16-lane VU
+        ext = [g for g in multi if g[0].threads == 4]
+        assert sorted(len(g) for g in ext) == [2, 2, 2, 3]
+        # trfd's lane sweep picks up the 16-lane base machine
+        trfd = next(g for g in multi if g[0] == RunSpec("trfd", "base-1lane"))
+        assert trfd[-1] == RunSpec("trfd", "base-16lane")
+
+    def test_verified_runs_never_group(self):
+        specs = E.matrix_for(["fig1"], apps=["trfd"])
+        assert ExperimentRunner()._groups(specs) == [specs]
+        assert ExperimentRunner(verify=True)._groups(specs) == \
+            [[s] for s in specs]
+
+    def test_result_cache_hit_inside_a_group(self, tmp_path):
+        specs = E.matrix_for(["fig1"], apps=["trfd"])
+        ExperimentRunner(jobs=1, cache_dir=tmp_path).run(specs[:1])
+        tele = tmp_path / "tele"
+        runner = ExperimentRunner(jobs=2, cache_dir=tmp_path, telemetry=tele)
+        out = runner.run(specs)
+        # the cached first member is served; the second one leads
+        assert [out[s].result_cached for s in specs] == [
+            True, False, False, False]
+        assert not goldens.mismatches({s: o.result for s, o in out.items()})
+        records = _ledger(tele)
+        assert [(r["config"], r["attempt"], r["outcome"]) for r in records] \
+            == [(s.config, 1, "ok") for s in specs]
+        assert all(set(r) == set(run_record(specs[0], {}, 1))
+                   for r in records)
+        assert [r["cycles"] for r in records] == [
+            out[s].result.cycles for s in specs]
+        # the leader replays twice (to the stop, then on); a follower
+        # once, after its fork
+        assert records[1]["phases"]["replay"]["calls"] == 2
+        assert records[2]["phases"]["replay"]["calls"] == 1
+
+    def test_a_group_of_one_keeps_no_snapshot(self, tmp_path):
+        tele = tmp_path / "tele"
+        ExperimentRunner(jobs=1, telemetry=tele).run([RunSpec("mxm", "base")])
+        phases = _ledger(tele)[0]["phases"]
+        assert phases["setup"]["calls"] == phases["replay"]["calls"] == 1
+
+    def test_worker_crash_isolates_the_group(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("VLT_RUNNER_TEST_CRASH", "ocean:base-2lane")
+        specs = E.matrix_for(["fig1"], apps=["ocean"])
+        tele = tmp_path / "tele"
+        runner = ExperimentRunner(jobs=2, cache_dir=tmp_path, retries=0,
+                                  telemetry=tele)
+        out = runner.run(specs)
+        crashed = RunSpec("ocean", "base-2lane")
+        assert {s: o.failure.error_type for s, o in out.items()
+                if not o.ok} == {crashed: "WorkerCrash"}
+        ok = {s: o.result for s, o in out.items() if o.ok}
+        assert len(ok) == 3 and not goldens.mismatches(ok)
+        records = _ledger(tele)
+        assert sorted((r["config"], r["outcome"]) for r in records) == \
+            sorted((s.config, "crash" if s == crashed else "ok")
+                   for s in specs)
+
+    def test_cold_cli_sweep_generates_each_trace_once(self, tmp_path,
+                                                      capsys):
+        from repro.harness.cli import main
+        assert main(["fig1", "--apps", "ocean,barnes", "--jobs", "2",
+                     "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "sweep: trace hits 0, misses 2;" in out
+        assert re.search(r"trace_generation .*\(2 calls\)", out)
 
 
 class TestAlarmOffMainThread:
