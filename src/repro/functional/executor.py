@@ -18,6 +18,7 @@ amounts use the low 6 bits.  FP is IEEE double via NumPy/Python floats.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -26,7 +27,7 @@ from ..isa.program import Instr, Program
 from ..isa.registers import MVL, reg_uid
 from .memory import Memory
 from .state import ThreadState
-from .trace import DynOp, ProgramTrace, ThreadTrace
+from .trace import ProgramTrace, ThreadTrace
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _I64_MAX = 0x7FFFFFFFFFFFFFFF
@@ -185,6 +186,13 @@ _VFP_CMP: Dict[str, Callable] = {
 }
 
 
+def _offsets(lengths: List[int]) -> np.ndarray:
+    """The ``n + 1`` offsets that tile a flat array from ``n`` lengths."""
+    off = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=off[1:])
+    return off
+
+
 class Executor:
     """Execute a finalized :class:`Program` with ``num_threads`` SPMD threads.
 
@@ -195,8 +203,8 @@ class Executor:
     num_threads:
         SPMD thread count (1 for the base single-thread configuration).
     record_trace:
-        If False, skip building :class:`DynOp` records (fast functional
-        verification mode).
+        If False, record no trace: :meth:`run` returns a trace with no
+        threads (fast functional verification mode).
     max_ops:
         Per-thread dynamic-instruction budget; exceeding it raises
         :class:`ExecutionError` (runaway-loop guard).
@@ -214,10 +222,11 @@ class Executor:
         self.max_ops = max_ops
         self.mem = Memory(program.build_memory())
         self.states = [ThreadState(t, num_threads) for t in range(num_threads)]
-        self.trace = ProgramTrace(program_name=program.name,
-                                  num_threads=num_threads,
-                                  threads=[ThreadTrace(t)
-                                           for t in range(num_threads)])
+        #: per thread, one flat list with seven entries per executed op:
+        #: pc, mnemonic, vl, taken, tgt, imm and addrs, with -1 for an
+        #: absent taken/tgt/imm
+        self._recorded: Optional[List[list]] = (
+            [[] for _ in range(num_threads)] if record_trace else None)
         self._reads: List[Tuple[int, ...]] = [
             tuple(reg_uid(r) for r in ins.reads()) for ins in program.instrs]
         self._writes: List[Tuple[int, ...]] = [
@@ -247,15 +256,48 @@ class Executor:
                     raise ExecutionError(
                         f"barrier deadlock in {self.program.name!r}: some "
                         f"threads halted while others wait at a barrier")
-        return self.trace
+        threads = ([] if self._recorded is None else
+                   [self._thread_trace(t, ops)
+                    for t, ops in enumerate(self._recorded)])
+        return ProgramTrace(program_name=self.program.name,
+                            num_threads=self.num_threads, threads=threads)
+
+    def _thread_trace(self, tid: int, recorded: list) -> ThreadTrace:
+        """Build one thread's columns from its recorded ops."""
+        pcs, mnemonics, vls, takens, tgts, imms, addrs = (
+            recorded[k::7] for k in range(7))
+        op_ids: Dict[str, int] = {}
+        ops = [op_ids.setdefault(op, len(op_ids)) for op in mnemonics]
+        reads = [self._reads[pc] for pc in pcs]
+        writes = [self._writes[pc] for pc in pcs]
+        parts = [a for a in addrs if a is not None]
+        cols = {
+            "pcs": np.array(pcs, dtype=np.int64),
+            "ops": np.array(ops, dtype=np.int64),
+            "vls": np.array(vls, dtype=np.int64),
+            "takens": np.array(takens, dtype=np.int8),
+            "tgts": np.array(tgts, dtype=np.int64),
+            "imms": np.array(imms, dtype=np.int64),
+            "has_addrs": np.array([a is not None for a in addrs],
+                                  dtype=np.int8),
+            "r_off": _offsets([len(r) for r in reads]),
+            "w_off": _offsets([len(w) for w in writes]),
+            "a_off": _offsets([0 if a is None else a.size for a in addrs]),
+            "r_flat": np.fromiter(chain.from_iterable(reads), dtype=np.int64),
+            "w_flat": np.fromiter(chain.from_iterable(writes),
+                                  dtype=np.int64),
+            "a_flat": (np.concatenate(parts) if parts
+                       else np.empty(0, dtype=np.int64)),
+        }
+        return ThreadTrace(tid, cols, list(op_ids))
 
     # ------------------------------------------------------------------
 
     def _run_phase(self, st: ThreadState) -> str:
         """Execute one thread until it hits a barrier or halts."""
         instrs = self.program.instrs
-        reads_tab, writes_tab = self._reads, self._writes
-        trace = self.trace.threads[st.tid] if self.record_trace else None
+        recorded = (None if self._recorded is None
+                    else self._recorded[st.tid])
         mem = self.mem
         n_instrs = len(instrs)
         executed = self._ops_executed[st.tid]
@@ -275,11 +317,11 @@ class Executor:
 
             vl_used, addrs, taken, tgt = self._execute(st, ins, mem)
 
-            if trace is not None:
-                trace.ops.append(DynOp(
-                    pc, ins.op, ins.spec, reads_tab[pc], writes_tab[pc],
-                    vl=vl_used, addrs=addrs, taken=taken, tgt=tgt,
-                    imm=ins.imm if ins.spec.is_vltcfg else None))
+            if recorded is not None:
+                recorded.extend((
+                    pc, ins.op, vl_used, -1 if taken is None else taken,
+                    -1 if tgt is None else tgt,
+                    ins.imm if ins.spec.is_vltcfg else -1, addrs))
 
             sp = ins.spec
             if sp.is_barrier:
@@ -638,17 +680,3 @@ class Executor:
 
         raise ExecutionError(  # pragma: no cover
             f"no vector handler for opcode {op!r}")
-
-
-def run_program(program: Program, num_threads: int = 1,
-                record_trace: bool = True,
-                max_ops: int = 20_000_000) -> Tuple[ProgramTrace, Executor]:
-    """Execute ``program``; returns ``(trace, executor)``.
-
-    The executor is returned so callers can inspect final memory for
-    workload self-checks.
-    """
-    ex = Executor(program, num_threads=num_threads,
-                  record_trace=record_trace, max_ops=max_ops)
-    trace = ex.run()
-    return trace, ex

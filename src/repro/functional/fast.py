@@ -54,8 +54,7 @@ from .executor import (ExecutionError, _fdiv, _sdiv, _srem, _srl, _vdiv,
                        _vrem, _vsrl)
 from .memory import Memory, MemoryFault, MisalignedAccess
 from .state import ThreadState
-from .trace import (ProgramTrace, ThreadTrace, decode_static,
-                    thread_trace_from_columns)
+from .trace import ProgramTrace, ThreadTrace, decode_static
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _WRAP_LO = "0x8000000000000000"
@@ -884,15 +883,12 @@ class FastExecutor:
         self._dp = decoded_for(program)
         self._threads = [_ThreadRun(st, self.mem, self._dp)
                          for st in self.states]
-        self.trace = ProgramTrace(program_name=program.name,
-                                  num_threads=num_threads,
-                                  threads=[ThreadTrace(t)
-                                           for t in range(num_threads)])
 
     # ------------------------------------------------------------------
 
     def run(self) -> ProgramTrace:
-        """Run all threads to completion; returns the program trace."""
+        """Run all threads to completion; returns the program trace,
+        which has no threads when ``record_trace`` is False."""
         with np.errstate(all="ignore"):
             while True:
                 statuses = []
@@ -908,8 +904,9 @@ class FastExecutor:
                         f"barrier deadlock in {self.program.name!r}: some "
                         f"threads halted while others wait at a barrier")
         if self.record_trace:
-            self.trace = self._materialize()
-        return self.trace
+            return self._materialize()
+        return ProgramTrace(program_name=self.program.name,
+                            num_threads=self.num_threads)
 
     # ------------------------------------------------------------------
 
@@ -1120,16 +1117,4 @@ class FastExecutor:
         static = stat.get("static")
         if static is None:
             static = stat["static"] = decode_static(cols, stat["op_table"])
-        return thread_trace_from_columns(tr.st.tid, cols, stat["op_table"],
-                                         static=static)
-
-
-def run_program_fast(program: Program, num_threads: int = 1,
-                     record_trace: bool = True,
-                     max_ops: int = 20_000_000
-                     ) -> Tuple[ProgramTrace, FastExecutor]:
-    """Execute ``program`` with the fast engine; returns (trace, executor)."""
-    ex = FastExecutor(program, num_threads=num_threads,
-                      record_trace=record_trace, max_ops=max_ops)
-    trace = ex.run()
-    return trace, ex
+        return ThreadTrace(tr.st.tid, cols, stat["op_table"], static=static)

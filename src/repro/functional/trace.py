@@ -8,20 +8,19 @@ written, the dynamic vector length, the element byte addresses of
 memory operations, and branch outcomes -- and nothing else (no data
 values).
 
-A thread's trace has up to three equivalent forms:
+A thread's trace is stored once, as the columnar parallel arrays of
+the npz cache format (:data:`COLUMN_NAMES`), which both executors
+record and the npz loader attaches.  Two forms are built from the
+columns on first use:
 
-* the columnar parallel arrays of the npz cache format
-  (:data:`COLUMN_NAMES`), which the fast executor and the npz loader
-  attach directly;
-* a ``List[DynOp]``, one object per dynamic op, which the reference
-  executor appends and which tools (diff, pipeview, event payloads)
-  read;
 * the replay form (:class:`ReplayTrace`) the timing units read: one
   shared :class:`StaticOp` per distinct pc, decoded once from the
   columns with a check (:func:`decode_static`), plain lists of the
   dynamic fields, and the per-trace tables every machine configuration
   shares (each vector op's register split, each vector memory op's
-  distinct cache lines).
+  distinct cache lines);
+* a ``List[DynOp]``, one object per dynamic op, which tools (diff,
+  pipeview, event payloads) read.
 """
 
 from __future__ import annotations
@@ -240,94 +239,69 @@ class ReplayTrace:
 
 
 class ThreadTrace:
-    """The dynamic trace of one software thread.
+    """The dynamic trace of one software thread, as columns.
 
-    ``ops`` is segmented by barriers only implicitly -- barrier DynOps
-    appear in-stream and the timing model synchronises on them.
+    ``arrays`` are the thread's :data:`COLUMN_NAMES` arrays and
+    ``op_table`` its mnemonics in op-id order; both executors and the
+    npz loader build a trace from them.  The columns are decoded per pc
+    here (:func:`decode_static`), so a corrupt mnemonic table or a trace
+    that breaks the per-pc invariant raises now, not at some later
+    replay.  ``static`` is a decode made from the very same
+    ``pcs``/``ops``/reads/writes arrays (threads that share one
+    control-flow path share them); it is reused, and only the layout of
+    these columns is checked.
 
-    The reference executor appends DynOps; the fast executor and the
-    npz loader attach columns directly (see
-    :func:`thread_trace_from_columns`).  Each other form is built on
-    first use and cached: :meth:`columns` encodes DynOps,
-    :meth:`replay` decodes columns into the form the timing units
-    read, and ``ops`` builds DynOps from the columns.  So an untraced
-    replay of a columnar trace never builds a DynOp, and the summary
-    statistics below read the columns whenever the trace has them.
+    Barriers segment the trace only implicitly: barrier ops appear
+    in-stream and the timing model synchronises on them.  The other
+    forms are built from the columns on first use and cached:
+    :meth:`replay`, the form the timing units read, and ``ops``, one
+    :class:`DynOp` per op.  So an untraced replay never builds a DynOp,
+    and the summary statistics below read the columns.
     """
 
     __slots__ = ("tid", "_ops", "_cols", "_static", "_replay")
 
-    def __init__(self, tid: int, ops: Optional[List[DynOp]] = None):
+    def __init__(self, tid: int, arrays: Dict[str, np.ndarray],
+                 op_table: List[str],
+                 static: Optional[Tuple[List[StaticOp], np.ndarray]] = None):
+        cols: Dict[str, object] = dict(arrays)
+        cols["op_table"] = list(op_table)
+        if static is None:
+            static = decode_static(cols, cols["op_table"])
+        else:
+            _check_layout(cols, [spec(op) for op in op_table])
         self.tid = tid
-        self._ops: Optional[List[DynOp]] = [] if ops is None else ops
-        self._cols: Optional[Dict[str, object]] = None
-        self._static: Optional[Tuple[List[StaticOp], np.ndarray]] = None
+        self._cols = cols
+        self._static = static
+        self._ops: Optional[List[DynOp]] = None
         self._replay: Optional[ReplayTrace] = None
 
     @property
     def ops(self) -> List[DynOp]:
+        """One :class:`DynOp` per op, built on first use."""
         if self._ops is None:
-            records, index = self._static_decode()
+            records, index = self._static
             self._ops = _ops_from_columns(self._cols,
                                           _gather(records, index))
         return self._ops
 
-    @ops.setter
-    def ops(self, value: List[DynOp]) -> None:
-        self._ops = value
-        self._drop_views()
-
-    def append(self, op: DynOp) -> None:
-        self.ops.append(op)
-        self._drop_views()
-
-    def _drop_views(self) -> None:
-        """Forget every form derived from the DynOps."""
-        self._cols = None
-        self._static = None
-        self._replay = None
-
     def __len__(self) -> int:
-        if self._ops is None:
-            return int(self._cols["pcs"].size)
-        return len(self._ops)
+        return int(self._cols["pcs"].size)
 
     # -- columnar and replay views ------------------------------------------
 
     def columns(self) -> Dict[str, object]:
-        """Flat-array (columnar) view of this thread's ops.
-
-        Returns the same parallel arrays the npz cache format stores
-        (see the serialization section below), with ``op_table`` as an
-        ordered mnemonic list rather than a mnemonic->id dict.  The
-        view is computed once and cached on the instance; traces
-        decoded from npz (and traces generated by the fast executor)
-        attach their arrays directly, so array consumers (serialization,
-        bulk analyses) never pay a per-:class:`DynOp` encode/decode
-        round-trip.
+        """The thread's columns: the parallel arrays the npz cache
+        format stores (see the serialization section below), plus
+        ``op_table``, the mnemonic of each id in the ``ops`` column.
         """
-        cols = self._cols
-        if cols is None:
-            cols = _encode_thread(self)
-            op_ids = cols.pop("op_table")
-            cols["op_table"] = [op for op, _ in
-                                sorted(op_ids.items(), key=lambda kv: kv[1])]
-            self._cols = cols
-        return cols
-
-    def _static_decode(self) -> Tuple[List[StaticOp], np.ndarray]:
-        """``(records, index)`` from :func:`decode_static`, cached."""
-        if self._static is None:
-            cols = self.columns()
-            self._static = decode_static(cols, cols["op_table"])
-        return self._static
+        return self._cols
 
     def replay(self) -> ReplayTrace:
         """The :class:`ReplayTrace` of this thread, built once however
         many machine configurations replay it."""
         if self._replay is None:
-            self._replay = ReplayTrace(self.columns(),
-                                       self._static_decode())
+            self._replay = ReplayTrace(self._cols, self._static)
         return self._replay
 
     # -- summary statistics (used by workload characterisation) -------------
@@ -341,46 +315,27 @@ class ThreadTrace:
 
     def counts(self) -> Dict[str, int]:
         """Instruction-count summary: total, scalar, vector, element ops."""
-        if self._cols is not None:
-            vec = self._vector_mask()
-            total = int(vec.size)
-            vector = int(np.count_nonzero(vec))
-            return {
-                "total": total,
-                "scalar": total - vector,
-                "vector": vector,
-                "element_ops": int(self._cols["vls"][vec].sum()),
-            }
-        total = len(self.ops)
-        vector = sum(1 for o in self.ops if o.spec.is_vector)
-        elem_ops = sum(o.vl for o in self.ops if o.spec.is_vector)
+        vec = self._vector_mask()
+        total = int(vec.size)
+        vector = int(np.count_nonzero(vec))
         return {
             "total": total,
             "scalar": total - vector,
             "vector": vector,
-            "element_ops": elem_ops,
+            "element_ops": int(self._cols["vls"][vec].sum()),
         }
 
     def vector_lengths(self) -> np.ndarray:
         """The dynamic VL of every vector instruction, in order."""
-        if self._cols is not None:
-            return self._cols["vls"][self._vector_mask()].astype(
-                np.int64, copy=True)
-        return np.array([o.vl for o in self.ops if o.spec.is_vector],
-                        dtype=np.int64)
+        return self._cols["vls"][self._vector_mask()].astype(
+            np.int64, copy=True)
 
     def opcode_histogram(self) -> Dict[str, int]:
         """Dynamic instruction counts per mnemonic, in order of first
         appearance."""
-        cols = self._cols
-        if cols is not None:
-            table = cols["op_table"]
-            counts = np.bincount(cols["ops"], minlength=len(table))
-            return {op: int(n) for op, n in zip(table, counts) if n}
-        hist: Dict[str, int] = {}
-        for o in self.ops:
-            hist[o.op] = hist.get(o.op, 0) + 1
-        return hist
+        table = self._cols["op_table"]
+        counts = np.bincount(self._cols["ops"], minlength=len(table))
+        return {op: int(n) for op, n in zip(table, counts) if n}
 
     def pool_histogram(self) -> Dict[str, int]:
         """Dynamic instruction counts per functional-unit pool."""
@@ -424,59 +379,15 @@ class ProgramTrace:
 # --------------------------------------------------------------------------
 #
 # Traces are stored columnar: one set of parallel NumPy arrays per
-# thread, bundled with a JSON manifest into an .npz container.  DynOps
-# carry an :class:`OpSpec` reference, but specs are pure functions of the
-# mnemonic, so only an index into a per-file opcode string table is
-# stored and ``spec(op)`` rebuilds the reference on load.  Optional
-# per-op payloads (memory addresses, register-uid tuples) are flattened
-# with offset arrays.  ``allow_pickle`` stays False on both ends.
+# thread, bundled with a JSON manifest into an .npz container.  An op's
+# :class:`OpSpec` is a pure function of its mnemonic, so only an index
+# into a per-thread opcode string table is stored and ``spec(op)``
+# rebuilds the reference on load.  Optional per-op payloads (memory
+# addresses, register-uid tuples) are flattened with offset arrays.
+# ``allow_pickle`` stays False on both ends.
 
 #: bump when the columnar layout changes; loaders reject other versions.
 TRACE_FORMAT_VERSION = 1
-
-
-def _encode_thread(t: ThreadTrace) -> Dict[str, np.ndarray]:
-    n = len(t.ops)
-    pcs = np.empty(n, dtype=np.int64)
-    vls = np.empty(n, dtype=np.int64)
-    takens = np.empty(n, dtype=np.int8)      # -1 none / 0 / 1
-    tgts = np.empty(n, dtype=np.int64)       # -1 none
-    imms = np.empty(n, dtype=np.int64)       # -1 none (vltcfg imms are >= 1)
-    has_addrs = np.zeros(n, dtype=np.int8)
-    op_ids: Dict[str, int] = {}
-    ops = np.empty(n, dtype=np.int64)
-    r_off = np.zeros(n + 1, dtype=np.int64)
-    w_off = np.zeros(n + 1, dtype=np.int64)
-    a_off = np.zeros(n + 1, dtype=np.int64)
-    r_flat: List[int] = []
-    w_flat: List[int] = []
-    a_parts: List[np.ndarray] = []
-    for i, o in enumerate(t.ops):
-        pcs[i] = o.pc
-        ops[i] = op_ids.setdefault(o.op, len(op_ids))
-        vls[i] = o.vl
-        takens[i] = -1 if o.taken is None else int(o.taken)
-        tgts[i] = -1 if o.tgt is None else o.tgt
-        imms[i] = -1 if o.imm is None else o.imm
-        r_flat.extend(o.reads)
-        w_flat.extend(o.writes)
-        r_off[i + 1] = len(r_flat)
-        w_off[i + 1] = len(w_flat)
-        a_off[i + 1] = a_off[i]
-        if o.addrs is not None:
-            has_addrs[i] = 1
-            a_parts.append(np.asarray(o.addrs, dtype=np.int64))
-            a_off[i + 1] += a_parts[-1].size
-    return {
-        "pcs": pcs, "ops": ops, "vls": vls, "takens": takens,
-        "tgts": tgts, "imms": imms, "has_addrs": has_addrs,
-        "r_off": r_off, "w_off": w_off, "a_off": a_off,
-        "r_flat": np.asarray(r_flat, dtype=np.int64),
-        "w_flat": np.asarray(w_flat, dtype=np.int64),
-        "a_flat": (np.concatenate(a_parts) if a_parts
-                   else np.empty(0, dtype=np.int64)),
-        "op_table": op_ids,
-    }
 
 
 def _ops_from_columns(arrays: Dict[str, np.ndarray],
@@ -597,45 +508,13 @@ def decode_static(cols: Dict[str, object], op_table: List[str]
     return records, index
 
 
-def thread_trace_from_columns(
-        tid: int, arrays: Dict[str, np.ndarray], op_table: List[str],
-        static: Optional[Tuple[List[StaticOp], np.ndarray]] = None
-) -> ThreadTrace:
-    """Build a :class:`ThreadTrace` directly from its columnar arrays.
-
-    The columns are decoded per pc here (:func:`decode_static`), so a
-    corrupt mnemonic table or a trace that breaks the per-pc invariant
-    raises now, not at some later replay.  ``static`` is a decode made
-    from the very same ``pcs``/``ops``/reads/writes arrays (threads that
-    share one control-flow path share them); it is reused, and only the
-    layout of these columns is checked.  DynOps are built only on first
-    ``.ops`` access.
-    """
-    thread = ThreadTrace(tid)
-    cols = dict(arrays)
-    cols["op_table"] = list(op_table)
-    if static is None:
-        static = decode_static(cols, cols["op_table"])
-    else:
-        _check_layout(cols, [spec(op) for op in op_table])
-    thread._ops = None
-    thread._cols = cols
-    thread._static = static
-    return thread
-
-
-def _decode_thread(tid: int, arrays: Dict[str, np.ndarray],
-                   op_table: List[str]) -> ThreadTrace:
-    return thread_trace_from_columns(tid, arrays, op_table)
-
-
 def trace_to_bytes(trace: ProgramTrace) -> bytes:
     """Serialize a :class:`ProgramTrace` to a self-contained byte string."""
     arrays: Dict[str, np.ndarray] = {}
     op_tables: List[List[str]] = []
     for t in trace.threads:
-        cols = t.columns()   # cached/attached columns; encodes if needed
-        op_tables.append(list(cols["op_table"]))
+        cols = t.columns()
+        op_tables.append(cols["op_table"])
         for name in COLUMN_NAMES:
             arrays[f"t{t.tid}.{name}"] = cols[name]
     manifest = {
@@ -655,7 +534,10 @@ def trace_to_bytes(trace: ProgramTrace) -> bytes:
 def trace_from_bytes(data: bytes) -> ProgramTrace:
     """Inverse of :func:`trace_to_bytes`.
 
-    Raises ``ValueError`` on an unknown format version.
+    Raises ``ValueError`` on an unknown format version, and
+    :class:`TraceInvariantError` when the manifest does not list one
+    thread and one op table for each of its ``num_threads`` threads, in
+    tid order, or when a thread's columns fail the decode check.
     """
     with np.load(io.BytesIO(data), allow_pickle=False) as npz:
         manifest = json.loads(bytes(npz["manifest"]).decode("utf-8"))
@@ -663,24 +545,16 @@ def trace_from_bytes(data: bytes) -> ProgramTrace:
             raise ValueError(
                 f"unsupported trace format version {manifest['version']} "
                 f"(expected {TRACE_FORMAT_VERSION})")
+        tids, op_tables = manifest["tids"], manifest["op_tables"]
+        if (tids != list(range(manifest["num_threads"]))
+                or len(op_tables) != len(tids)):
+            raise TraceInvariantError(
+                f"manifest lists threads {tids} and {len(op_tables)} op "
+                f"tables for {manifest['num_threads']} threads")
         threads = []
-        for tid, op_table in zip(manifest["tids"], manifest["op_tables"]):
+        for tid, op_table in zip(tids, op_tables):
             arrays = {name: npz[f"t{tid}.{name}"] for name in COLUMN_NAMES}
-            threads.append(_decode_thread(tid, arrays, op_table))
+            threads.append(ThreadTrace(tid, arrays, op_table))
     return ProgramTrace(program_name=manifest["program_name"],
                         num_threads=manifest["num_threads"],
                         threads=threads)
-
-
-def save_trace(trace: ProgramTrace, path) -> int:
-    """Write a trace to ``path``; returns the byte count written."""
-    data = trace_to_bytes(trace)
-    with open(path, "wb") as fh:
-        fh.write(data)
-    return len(data)
-
-
-def load_trace(path) -> ProgramTrace:
-    """Read a trace previously written by :func:`save_trace`."""
-    with open(path, "rb") as fh:
-        return trace_from_bytes(fh.read())

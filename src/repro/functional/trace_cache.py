@@ -9,8 +9,8 @@ every machine configuration with zero trace regenerations.
 
 Layout (everything under one user-chosen root)::
 
-    <root>/traces/<d2>/<digest>-t<threads>.trace.npz   columnar DynOp
-                                                       arrays (see
+    <root>/traces/<d2>/<digest>-t<threads>.trace.npz   per-thread trace
+                                                       columns (see
                                                        repro.functional
                                                        .trace)
     <root>/results/<d2>/<key>.result.pkl               pickled RunResult
@@ -24,7 +24,8 @@ Layout (everything under one user-chosen root)::
 Writes go through a same-directory temp file and ``os.replace`` so that
 concurrent workers racing on the same key are safe: last writer wins and
 readers never observe a partial file.  Any unreadable/corrupt entry is
-treated as a miss, including a trace that fails the per-pc decode check
+treated as a miss, including a trace whose manifest does not list each
+of its threads or that fails the per-pc decode check
 (:class:`~repro.functional.trace.TraceInvariantError`).
 
 Results use pickle (they are internal machine-generated artifacts keyed
@@ -132,7 +133,7 @@ class TraceCache:
             return None
         except Exception:
             # corrupt / truncated / wrong-version entry, or one that
-            # breaks the per-pc invariant: treat as a miss
+            # misses a thread or breaks the per-pc invariant: a miss
             self.trace_misses += 1
             return None
         if trace.num_threads != num_threads:  # pragma: no cover - paranoia

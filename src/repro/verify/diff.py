@@ -10,7 +10,7 @@ the timing machine *should* have replayed and diffs four surfaces:
    timing machine consumes (generated afresh by the fast engine, or
    supplied by the caller, e.g. a cached one): catches engine
    disagreement, stale or corrupt cache entries and trace
-   (de)serialization bugs, op by op;
+   (de)serialization bugs, column by column, naming the ops that differ;
 2. **state / memory** -- the reference and the fast engine, each run
    independently, must produce bit-identical final registers, vector
    state, and memory: catches engine disagreement and nondeterminism;
@@ -39,7 +39,7 @@ import numpy as np
 
 from ..functional.executor import Executor
 from ..functional.fast import FastExecutor
-from ..functional.trace import DynOp, ProgramTrace
+from ..functional.trace import COLUMN_NAMES, DynOp, ProgramTrace
 from ..isa.program import Program
 from ..obs.events import COMMIT, EventBus, LANE_ISSUE, VISSUE
 from ..timing.config import MachineConfig
@@ -132,22 +132,31 @@ def _op_fields(op: DynOp) -> Tuple:
             op.writes)
 
 
+def _columns_equal(a: Dict[str, object], b: Dict[str, object]) -> bool:
+    return a["op_table"] == b["op_table"] and all(
+        np.array_equal(a[name], b[name]) for name in COLUMN_NAMES)
+
+
 def _diff_traces(ref: ProgramTrace, tut: ProgramTrace,
                  report: DiffReport) -> None:
-    """Op-by-op comparison of the reference functional trace against the
-    trace under test (the one the timing machine replays)."""
+    """Compare the reference functional trace with the trace under test
+    (the one the timing machine replays), thread by thread on their
+    columns; the ops of a thread whose columns differ are compared one
+    by one to name the mismatching ones."""
     add = _Adder(report)
     if ref.num_threads != tut.num_threads:
         add("trace", -1, 0, f"thread counts differ: reference "
             f"{ref.num_threads}, under-test {tut.num_threads}")
         return
     for t, (rt, ut) in enumerate(zip(ref.threads, tut.threads)):
-        if len(rt.ops) != len(ut.ops):
-            add("trace", t, min(len(rt.ops), len(ut.ops)),
-                f"trace lengths differ: reference {len(rt.ops)} ops, "
-                f"under-test {len(ut.ops)}")
+        report.ops_checked += min(len(rt), len(ut))
+        if _columns_equal(rt.columns(), ut.columns()):
+            continue
+        if len(rt) != len(ut):
+            add("trace", t, min(len(rt), len(ut)),
+                f"trace lengths differ: reference {len(rt)} ops, "
+                f"under-test {len(ut)}")
         for i, (a, b) in enumerate(zip(rt.ops, ut.ops)):
-            report.ops_checked += 1
             if _op_fields(a) != _op_fields(b):
                 add("trace", t, i,
                     f"op differs: reference {a.op}@pc{a.pc} "

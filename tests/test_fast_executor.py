@@ -5,15 +5,15 @@ blocks into specialized handlers and emits trace columns directly.  Its
 contract is exact equivalence: identical serialized trace bytes,
 identical final architectural state (registers, memory), and identical
 error behaviour, across the full figure-3/5/6 run matrix.  The
-``func-diff`` CI job runs this module plus CLI differential checks.
+``func-diff`` CI job runs the CLI's differential sweep over that
+matrix.
 """
 
 import numpy as np
 import pytest
 
 from repro.functional import (ExecutionError, Executor, FastExecutor,
-                              run_program_fast, trace_from_bytes,
-                              trace_to_bytes)
+                              trace_from_bytes, trace_to_bytes)
 from repro.harness import experiments as E
 from repro.isa import ProgramBuilder, S, V, assemble
 from repro.isa.registers import MVL
@@ -106,14 +106,6 @@ class TestMatrixBitIdentity:
         again = trace_from_bytes(trace_to_bytes(trace))
         assert trace_to_bytes(again) == trace_to_bytes(trace)
         assert again.total_ops() == trace.total_ops()
-
-    def test_run_program_fast_helper(self):
-        prog = get_workload("mpenc").program()
-        trace, ex = run_program_fast(prog, num_threads=1)
-        ref = Executor(prog, num_threads=1)
-        ref_trace = ref.run()
-        assert trace_to_bytes(trace) == trace_to_bytes(ref_trace)
-        assert bytes(ex.mem.u8) == bytes(ref.mem.u8)
 
 
 # --------------------------------------------------------------------------

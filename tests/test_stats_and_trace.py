@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.functional.trace import DynOp, ProgramTrace, ThreadTrace
-from repro.isa import spec
+from repro.functional import Executor
+from repro.functional.trace import ProgramTrace, ThreadTrace
 from repro.timing.stats import DatapathUtilization, RunResult
+from repro.workloads import get_workload
 
 
 class TestDatapathUtilization:
@@ -62,40 +63,55 @@ class TestRunResultPhases:
         assert self._rr(50, [50]).phase_durations() == [50, 0]
 
 
-def _dyn(op, **kw):
-    s = spec(op)
-    return DynOp(0, op, s, (), (), **kw)
+def _thread(tid, *ops):
+    """A column trace of ``ops``, (mnemonic, vl) pairs at pcs 0, 1, ...;
+    no op reads, writes or addresses anything."""
+    n = len(ops)
+    table = list(dict.fromkeys(op for op, _ in ops))
+    none = np.full(n, -1, dtype=np.int64)
+    no_offsets = np.zeros(n + 1, dtype=np.int64)
+    empty = np.zeros(0, dtype=np.int64)
+    cols = {
+        "pcs": np.arange(n, dtype=np.int64),
+        "ops": np.array([table.index(op) for op, _ in ops], dtype=np.int64),
+        "vls": np.array([vl for _, vl in ops], dtype=np.int64),
+        "takens": none.astype(np.int8), "tgts": none, "imms": none,
+        "has_addrs": np.zeros(n, dtype=np.int8),
+        "r_off": no_offsets, "w_off": no_offsets, "a_off": no_offsets,
+        "r_flat": empty, "w_flat": empty, "a_flat": empty,
+    }
+    return ThreadTrace(tid, cols, table)
 
 
 class TestThreadTrace:
     def test_counts(self):
-        t = ThreadTrace(0)
-        t.append(_dyn("add"))
-        t.append(_dyn("vadd.vv", vl=8))
-        t.append(_dyn("vfmul.vs", vl=16))
+        t = _thread(0, ("add", 0), ("vadd.vv", 8), ("vfmul.vs", 16))
         c = t.counts()
         assert c == {"total": 3, "scalar": 1, "vector": 2,
                      "element_ops": 24}
 
     def test_vector_lengths(self):
-        t = ThreadTrace(0)
-        t.append(_dyn("vadd.vv", vl=5))
-        t.append(_dyn("add"))
-        t.append(_dyn("vadd.vv", vl=7))
+        t = _thread(0, ("vadd.vv", 5), ("add", 0), ("vadd.vv", 7))
         assert t.vector_lengths().tolist() == [5, 7]
 
     def test_len(self):
-        t = ThreadTrace(0)
-        assert len(t) == 0
-        t.append(_dyn("nop"))
-        assert len(t) == 1
+        assert len(_thread(0)) == 0
+        assert len(_thread(0, ("nop", 0))) == 1
+
+    def test_reference_executor_records_columns(self):
+        """The oracle records columns, as the fast engine does: its run
+        builds no DynOp, and a trace cannot be appended to."""
+        prog = get_workload("mpenc").program()
+        trace = Executor(prog, num_threads=4).run()
+        assert len(trace.threads) == 4
+        assert all(t._ops is None for t in trace.threads)
+        assert not hasattr(ThreadTrace, "append")
 
 
 class TestProgramTrace:
     def test_merged_counts(self):
-        p = ProgramTrace("prog", 2, [ThreadTrace(0), ThreadTrace(1)])
-        p.threads[0].append(_dyn("add"))
-        p.threads[1].append(_dyn("vadd.vv", vl=4))
+        p = ProgramTrace("prog", 2, [_thread(0, ("add", 0)),
+                                     _thread(1, ("vadd.vv", 4))])
         assert p.total_ops() == 2
         m = p.merged_counts()
         assert m["scalar"] == 1 and m["vector"] == 1

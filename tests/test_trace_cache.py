@@ -4,13 +4,14 @@ import gc
 
 import pytest
 
-from repro.functional import TraceCache
+from repro.functional import ProgramTrace, TraceCache
 from repro.functional.trace_cache import result_key
 from repro.isa import assemble
 from repro.obs.hostprof import PhaseProfiler
 from repro.timing import clear_trace_cache, simulate, trace_for
-from repro.timing.config import BASE
+from repro.timing.config import BASE, V2_CMP
 from repro.timing.run import (get_trace_cache, set_trace_cache_dir)
+from repro.workloads import get_workload
 
 _SRC_A = """
 .space x 512
@@ -103,6 +104,20 @@ class TestDiskCache:
         assert trace.total_ops() > 0
         # the regenerated trace was re-stored over the corrupt entry
         assert cache.trace_stores == 2
+
+    def test_entry_missing_a_thread_is_a_miss(self, tmp_path):
+        """An entry whose manifest lists fewer threads than its
+        ``num_threads`` must not replay as a smaller machine load."""
+        prog = get_workload("mpenc").program()
+        fresh = simulate(prog, V2_CMP, num_threads=2)
+        cache = set_trace_cache_dir(tmp_path)
+        full = trace_for(prog, 2)
+        cache.store_trace(prog.digest(), 2, ProgramTrace(
+            full.program_name, full.num_threads, full.threads[:1]))
+        clear_trace_cache()
+        assert simulate(prog, V2_CMP, num_threads=2) == fresh
+        assert cache.trace_misses == 1
+        assert cache.trace_hits == 0
 
     def test_result_cache_roundtrip(self, tmp_path):
         cache = TraceCache(tmp_path)

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.functional import Executor, FastExecutor, ThreadTrace
-from repro.functional.trace import trace_from_bytes, trace_to_bytes
+from repro.functional import Executor, FastExecutor
 from repro.isa import assemble
 from repro.workloads import get_workload
 
@@ -47,26 +46,38 @@ def _summaries(t):
             t.pool_histogram())
 
 
+def _recount(ops):
+    """:func:`_summaries` counted one DynOp at a time."""
+    vector = [o for o in ops if o.spec.is_vector]
+    counts = {"total": len(ops), "scalar": len(ops) - len(vector),
+              "vector": len(vector),
+              "element_ops": sum(o.vl for o in vector)}
+    hist, pools = {}, {}
+    for o in ops:
+        hist[o.op] = hist.get(o.op, 0) + 1
+        pools[o.spec.pool] = pools.get(o.spec.pool, 0) + 1
+    return counts, [o.vl for o in vector], hist, pools
+
+
 class TestColumnarSummaries:
-    """A columnar trace summarises itself from its columns: the values
-    equal the DynOp-based ones, and no DynOp is built."""
+    """A trace summarises itself from its columns: the values equal
+    those counted over its DynOps, and no DynOp is built."""
 
     @pytest.mark.parametrize("app,scalar_only,threads", [
         ("mpenc", False, 4), ("radix", True, 8)])
     def test_match_dynop_values(self, app, scalar_only, threads):
         prog = get_workload(app).program(scalar_only=scalar_only)
         trace = FastExecutor(prog, num_threads=threads).run()
-        # DynOp-only copies of the same threads (no columns attached)
-        copies = [ThreadTrace(t.tid, t.ops) for t in
-                  trace_from_bytes(trace_to_bytes(trace)).threads]
-        for t, ops_only in zip(trace.threads, copies):
-            assert ops_only._cols is None
-            assert _summaries(t) == _summaries(ops_only)
-            assert list(t.opcode_histogram()) == \
-                list(ops_only.opcode_histogram())
-        assert trace.merged_counts()["total"] == trace.total_ops() == \
-            sum(len(c) for c in copies)
+        summaries = [_summaries(t) for t in trace.threads]
+        total = trace.total_ops()
+        assert trace.merged_counts()["total"] == total
         assert all(t._ops is None for t in trace.threads)
+        for t, summary in zip(trace.threads, summaries):
+            recount = _recount(t.ops)
+            assert summary == recount
+            # the histogram keeps the order of first appearance
+            assert list(summary[2]) == list(recount[2])
+        assert total == sum(len(t.ops) for t in trace.threads)
 
 
 class TestCliVerbs:

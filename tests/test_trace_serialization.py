@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.functional import (TRACE_FORMAT_VERSION, Executor, load_trace,
-                              save_trace, trace_from_bytes, trace_to_bytes)
+from repro.functional import (TRACE_FORMAT_VERSION, Executor,
+                              trace_from_bytes, trace_to_bytes)
 from repro.isa import assemble
 
 _SRC = """
@@ -84,12 +84,6 @@ class TestTraceRoundtrip:
     def test_bytes_roundtrip_field_exact(self):
         trace = _trace()
         self._assert_equal(trace, trace_from_bytes(trace_to_bytes(trace)))
-
-    def test_file_roundtrip(self, tmp_path):
-        trace = _trace()
-        path = tmp_path / "t.trace.npz"
-        save_trace(trace, path)
-        self._assert_equal(trace, load_trace(path))
 
     def test_roundtrip_replays_to_identical_cycles(self):
         from repro.timing import simulate

@@ -1,10 +1,14 @@
 """Differential checker + shrinker: agreement on healthy runs, detection
 of injected timing bugs, and minimization of the failing program."""
 
+import io
+
+import numpy as np
 import pytest
 
 import repro.verify.diff as D
 from repro.functional.executor import Executor
+from repro.functional.trace import trace_from_bytes, trace_to_bytes
 from repro.isa.assembler import assemble
 from repro.timing.config import get_config
 from repro.verify import differential_check, shrink_on_diff, shrink_program
@@ -38,6 +42,27 @@ loop:
 
 def _prog():
     return assemble(SRC, name="difftarget")
+
+
+def _drop_op(trace, i):
+    """``trace`` with op ``i`` of thread 0 cut from its columns, as a
+    corrupt cached entry could hold it: well formed, one op short."""
+    with np.load(io.BytesIO(trace_to_bytes(trace)),
+                 allow_pickle=False) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    keep = np.arange(arrays["t0.pcs"].size) != i
+    for name in ("pcs", "ops", "vls", "takens", "tgts", "imms",
+                 "has_addrs"):
+        arrays[f"t0.{name}"] = arrays[f"t0.{name}"][keep]
+    for kind in "rwa":
+        off = arrays[f"t0.{kind}_off"]
+        arrays[f"t0.{kind}_flat"] = np.delete(arrays[f"t0.{kind}_flat"],
+                                             np.arange(off[i], off[i + 1]))
+        arrays[f"t0.{kind}_off"] = np.concatenate(
+            ([0], np.cumsum(np.diff(off)[keep])))
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return trace_from_bytes(buf.getvalue())
 
 
 def _inject_dropped_mul_commits(monkeypatch):
@@ -129,8 +154,7 @@ class TestInjectedBug:
 
     def test_corrupt_trace_is_caught(self):
         prog = _prog()
-        tut = Executor(prog, num_threads=1, record_trace=True).run()
-        tut.threads[0].ops.pop(3)   # simulate a corrupt cached trace
+        tut = _drop_op(Executor(prog, num_threads=1).run(), 3)
         report = differential_check(prog, get_config("base"), trace=tut)
         assert not report.ok
         assert any(m.kind == "trace" for m in report.mismatches)
