@@ -186,6 +186,19 @@ _VFP_CMP: Dict[str, Callable] = {
 }
 
 
+class _Recorded:
+    """One thread's recorded trace fields (see ``Executor._recorded``)."""
+
+    __slots__ = ("pcs", "vls", "takens", "jr_tgts", "addrs")
+
+    def __init__(self) -> None:
+        self.pcs: List[int] = []
+        self.vls: List[int] = []
+        self.takens: List[bool] = []
+        self.jr_tgts: List[int] = []
+        self.addrs: List[np.ndarray] = []
+
+
 def _offsets(lengths: List[int]) -> np.ndarray:
     """The ``n + 1`` offsets that tile a flat array from ``n`` lengths."""
     off = np.zeros(len(lengths) + 1, dtype=np.int64)
@@ -222,11 +235,12 @@ class Executor:
         self.max_ops = max_ops
         self.mem = Memory(program.build_memory())
         self.states = [ThreadState(t, num_threads) for t in range(num_threads)]
-        #: per thread, one flat list with seven entries per executed op:
-        #: pc, mnemonic, vl, taken, tgt, imm and addrs, with -1 for an
-        #: absent taken/tgt/imm
-        self._recorded: Optional[List[list]] = (
-            [[] for _ in range(num_threads)] if record_trace else None)
+        #: per thread, what its trace records as it runs: each op's pc,
+        #: then each vector op's VL, each branch's outcome, each jr's
+        #: target and each memory op's addresses
+        self._recorded: Optional[List[_Recorded]] = (
+            [_Recorded() for _ in range(num_threads)] if record_trace
+            else None)
         self._reads: List[Tuple[int, ...]] = [
             tuple(reg_uid(r) for r in ins.reads()) for ins in program.instrs]
         self._writes: List[Tuple[int, ...]] = [
@@ -257,37 +271,48 @@ class Executor:
                         f"barrier deadlock in {self.program.name!r}: some "
                         f"threads halted while others wait at a barrier")
         threads = ([] if self._recorded is None else
-                   [self._thread_trace(t, ops)
-                    for t, ops in enumerate(self._recorded)])
+                   [self._thread_trace(t, rec)
+                    for t, rec in enumerate(self._recorded)])
         return ProgramTrace(program_name=self.program.name,
                             num_threads=self.num_threads, threads=threads)
 
-    def _thread_trace(self, tid: int, recorded: list) -> ThreadTrace:
-        """Build one thread's columns from its recorded ops."""
-        pcs, mnemonics, vls, takens, tgts, imms, addrs = (
-            recorded[k::7] for k in range(7))
+    def _thread_trace(self, tid: int, rec: _Recorded) -> ThreadTrace:
+        """Build one thread's trace layout from what it recorded: one
+        row per distinct pc it executed, in pc order, with op ids in
+        order of first execution."""
+        instrs = self.program.instrs
         op_ids: Dict[str, int] = {}
-        ops = [op_ids.setdefault(op, len(op_ids)) for op in mnemonics]
-        reads = [self._reads[pc] for pc in pcs]
-        writes = [self._writes[pc] for pc in pcs]
-        parts = [a for a in addrs if a is not None]
+        for pc in dict.fromkeys(rec.pcs):
+            op_ids.setdefault(instrs[pc].op, len(op_ids))
+        rows = sorted(set(rec.pcs))
+        reads = [self._reads[pc] for pc in rows]
+        writes = [self._writes[pc] for pc in rows]
+        row_ins = [instrs[pc] for pc in rows]
         cols = {
-            "pcs": np.array(pcs, dtype=np.int64),
-            "ops": np.array(ops, dtype=np.int64),
-            "vls": np.array(vls, dtype=np.int64),
-            "takens": np.array(takens, dtype=np.int8),
-            "tgts": np.array(tgts, dtype=np.int64),
-            "imms": np.array(imms, dtype=np.int64),
-            "has_addrs": np.array([a is not None for a in addrs],
-                                  dtype=np.int8),
-            "r_off": _offsets([len(r) for r in reads]),
-            "w_off": _offsets([len(w) for w in writes]),
-            "a_off": _offsets([0 if a is None else a.size for a in addrs]),
-            "r_flat": np.fromiter(chain.from_iterable(reads), dtype=np.int64),
-            "w_flat": np.fromiter(chain.from_iterable(writes),
-                                  dtype=np.int64),
-            "a_flat": (np.concatenate(parts) if parts
-                       else np.empty(0, dtype=np.int64)),
+            "row_pcs": np.array(rows, dtype=np.int64),
+            "row_ops": np.array([op_ids[ins.op] for ins in row_ins],
+                                dtype=np.int64),
+            "row_imms": np.array([ins.imm if ins.spec.is_vltcfg else -1
+                                  for ins in row_ins], dtype=np.int64),
+            "row_tgts": np.array(
+                [ins.target if ins.spec.is_branch and ins.op != "jr"
+                 else -1 for ins in row_ins], dtype=np.int64),
+            "row_has_addrs": np.array([ins.mem is not None
+                                       for ins in row_ins], dtype=np.int8),
+            "row_r_off": _offsets([len(r) for r in reads]),
+            "row_r_flat": np.fromiter(chain.from_iterable(reads),
+                                      dtype=np.int64),
+            "row_w_off": _offsets([len(w) for w in writes]),
+            "row_w_flat": np.fromiter(chain.from_iterable(writes),
+                                      dtype=np.int64),
+            "pcs": np.array(rec.pcs, dtype=np.int32),
+            "vls": np.array(rec.vls, dtype=np.int16),
+            "takens": np.array(rec.takens, dtype=np.int8),
+            "jr_tgts": np.array(rec.jr_tgts, dtype=np.int32),
+            "addr_counts": np.array([a.size for a in rec.addrs],
+                                    dtype=np.int16),
+            "addrs": (np.concatenate(rec.addrs) if rec.addrs
+                      else np.empty(0, dtype=np.int64)),
         }
         return ThreadTrace(tid, cols, list(op_ids))
 
@@ -296,8 +321,7 @@ class Executor:
     def _run_phase(self, st: ThreadState) -> str:
         """Execute one thread until it hits a barrier or halts."""
         instrs = self.program.instrs
-        recorded = (None if self._recorded is None
-                    else self._recorded[st.tid])
+        rec = None if self._recorded is None else self._recorded[st.tid]
         mem = self.mem
         n_instrs = len(instrs)
         executed = self._ops_executed[st.tid]
@@ -317,13 +341,18 @@ class Executor:
 
             vl_used, addrs, taken, tgt = self._execute(st, ins, mem)
 
-            if recorded is not None:
-                recorded.extend((
-                    pc, ins.op, vl_used, -1 if taken is None else taken,
-                    -1 if tgt is None else tgt,
-                    ins.imm if ins.spec.is_vltcfg else -1, addrs))
-
             sp = ins.spec
+            if rec is not None:
+                rec.pcs.append(pc)
+                if sp.is_vector:
+                    rec.vls.append(vl_used)
+                if taken is not None:
+                    rec.takens.append(taken)
+                    if ins.op == "jr":
+                        rec.jr_tgts.append(tgt)
+                if addrs is not None:
+                    rec.addrs.append(addrs)
+
             if sp.is_barrier:
                 st.barrier_count += 1
                 st.pc = pc + 1

@@ -23,16 +23,17 @@ How it gets there:
   registers are ``(NUM_VREGS, MVL)`` int64 with a float64 view), so
   vector instructions execute as single array expressions under
   mask/VL, exactly mirroring the reference semantics.
-* **Columnar trace emission.**  Executing threads record only a list of
+* **Trace-layout emission.**  Executing threads record only a list of
   block ids (the *block path*) plus four sparse dynamic side-channels
   (``setvl`` values, ``jr`` targets, ambiguous branch outcomes, memory
-  addresses).  After execution the full columnar arrays -- exactly the
-  ``ThreadTrace.columns()`` / npz layout -- are materialized with
-  vectorized gathers from per-pc static tables; the ``List[DynOp]``
-  form is never built unless someone asks for it.  Threads of a phase
-  whose control flow agreed (identical block paths -- the common SPMD
-  case) share one static expansion; divergent threads fall back to
-  their own per-thread expansion.
+  addresses).  After execution the thread's trace layout is built: one
+  row per distinct pc of the path from the per-pc static tables, each
+  op's pc by one vectorised gather over the path, and the sparse
+  fields (VLs, branch outcomes, ``jr`` targets, addresses) from the
+  side-channels; the ``List[DynOp]`` form is never built unless someone
+  asks for it.  Threads of a phase whose control flow agreed
+  (identical block paths -- the common SPMD case) share one expansion;
+  divergent threads fall back to their own.
 
 Execution order across threads is phase-serial, identical to the
 reference executor: thread 0 runs to its barrier, then thread 1, and so
@@ -44,14 +45,15 @@ expansion, never interleaved execution.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..isa.program import Instr, Program
 from ..isa.registers import MVL, reg_uid
-from .executor import (ExecutionError, _fdiv, _sdiv, _srem, _srl, _vdiv,
-                       _vrem, _vsrl)
+from .executor import (ExecutionError, _fdiv, _offsets, _sdiv, _srem, _srl,
+                       _vdiv, _vrem, _vsrl)
 from .memory import Memory, MemoryFault, MisalignedAccess
 from .state import ThreadState
 from .trace import ProgramTrace, ThreadTrace, decode_static
@@ -528,25 +530,19 @@ class _DecodedProgram:
         instrs = program.instrs
         n = self.n = len(instrs)
 
-        # -- per-pc static trace columns ---------------------------------
+        # -- per-pc static trace fields ----------------------------------
         mnemonics: List[str] = []
         op_gid_of: Dict[str, int] = {}
         op_gid = np.empty(n, dtype=np.int64)
         is_vector = np.zeros(n, dtype=bool)
         is_setvl = np.zeros(n, dtype=bool)
-        is_mem = np.zeros(n, dtype=np.int8)
-        is_smem = np.zeros(n, dtype=bool)   # scalar ld/st/fld/fst
+        is_branch = np.zeros(n, dtype=bool)
+        is_mem = np.zeros(n, dtype=bool)
         is_vmem = np.zeros(n, dtype=bool)   # vector memory ops
-        is_jr = np.zeros(n, dtype=bool)
         is_amb = np.zeros(n, dtype=bool)    # cond branch to pc+1
         is_cond = np.zeros(n, dtype=bool)   # cond branch elsewhere
-        taken_base = np.full(n, -1, dtype=np.int8)
         tgt_base = np.full(n, -1, dtype=np.int64)
         imm_base = np.full(n, -1, dtype=np.int64)
-        r_len = np.zeros(n, dtype=np.int64)
-        w_len = np.zeros(n, dtype=np.int64)
-        r_parts: List[int] = []
-        w_parts: List[int] = []
         for pc, ins in enumerate(instrs):
             sp = ins.spec
             gid = op_gid_of.get(ins.op)
@@ -556,54 +552,34 @@ class _DecodedProgram:
             op_gid[pc] = gid
             is_vector[pc] = sp.is_vector
             is_setvl[pc] = sp.writes_vl
+            is_branch[pc] = sp.is_branch
             if ins.mem is not None:
-                is_mem[pc] = 1
-                if sp.is_vector:
-                    is_vmem[pc] = True
-                else:
-                    is_smem[pc] = True
-            if sp.is_branch:
-                if ins.op == "jr":
-                    is_jr[pc] = True
-                    taken_base[pc] = 1
-                elif sp.is_uncond:          # j / jal
-                    taken_base[pc] = 1
-                    tgt_base[pc] = ins.target
-                elif ins.target == pc + 1:
-                    is_amb[pc] = True       # outcome recorded dynamically
-                    tgt_base[pc] = ins.target
-                else:
-                    is_cond[pc] = True      # outcome derived from next pc
-                    tgt_base[pc] = ins.target
+                is_mem[pc] = True
+                is_vmem[pc] = sp.is_vector
+            if sp.is_branch and ins.op != "jr":     # jr: dynamic target
+                tgt_base[pc] = ins.target
+                cond = not sp.is_uncond             # j / jal: always taken
+                # a branch to pc+1 records its outcome; any other takes
+                # it from the next pc
+                is_amb[pc] = cond and ins.target == pc + 1
+                is_cond[pc] = cond and ins.target != pc + 1
             if sp.is_vltcfg:
                 imm_base[pc] = ins.imm
-            r = tuple(reg_uid(x) for x in ins.reads())
-            w = tuple(reg_uid(x) for x in ins.writes())
-            r_len[pc] = len(r)
-            w_len[pc] = len(w)
-            r_parts.extend(r)
-            w_parts.extend(w)
         self.mnemonics = mnemonics
         self.op_gid = op_gid
         self.is_vector = is_vector
         self.is_setvl = is_setvl
+        self.is_branch = is_branch
         self.is_mem = is_mem
-        self.is_smem = is_smem
         self.is_vmem = is_vmem
-        self.is_jr = is_jr
         self.is_amb = is_amb
         self.is_cond = is_cond
-        self.taken_base = taken_base
         self.tgt_base = tgt_base
         self.imm_base = imm_base
-        self.r_len = r_len
-        self.w_len = w_len
-        self.r_cat = np.asarray(r_parts, dtype=np.int64)
-        self.w_cat = np.asarray(w_parts, dtype=np.int64)
-        self.r_cat_off = np.zeros(n, dtype=np.int64)
-        np.cumsum(r_len[:-1], out=self.r_cat_off[1:])
-        self.w_cat_off = np.zeros(n, dtype=np.int64)
-        np.cumsum(w_len[:-1], out=self.w_cat_off[1:])
+        self.reads = [tuple(reg_uid(x) for x in ins.reads())
+                      for ins in instrs]
+        self.writes = [tuple(reg_uid(x) for x in ins.writes())
+                       for ins in instrs]
 
         # -- basic blocks -------------------------------------------------
         leaders = {0}
@@ -620,11 +596,11 @@ class _DecodedProgram:
         self.is_rep: List[bool] = []    # self-loop blocks (see below)
         self.bid_by_start: Dict[int, int] = {}
         self._flat = None       # (pcs_flat, blk_off, blk_len_arr) cache
-        # cross-run expansion cache: path bytes -> static columns.  The
-        # expansion depends only on the decoded program and the block
-        # path, so repeated cold runs (config sweeps re-generating the
-        # same trace) skip it entirely.  Bounded by total cached ops;
-        # oversized paths are never cached.
+        # cross-run expansion cache: path bytes -> the path's pcs, rows
+        # and sparse-field positions.  The expansion depends only on the
+        # decoded program and the block path, so repeated cold runs
+        # (config sweeps re-generating the same trace) skip it entirely.
+        # Bounded by total cached ops; oversized paths are never cached.
         self.expand_cache: Dict[bytes, Dict[str, object]] = {}
         self.expand_cached_ops = 0
         self._g = {"np": np, "math": __import__("math"),
@@ -793,8 +769,8 @@ class _DecodedProgram:
             lens = np.asarray(self.blk_len, dtype=np.int64)
             off = np.zeros(lens.size, dtype=np.int64)
             np.cumsum(lens[:-1], out=off[1:])
-            self._flat = (np.concatenate([b.pcs for b in self.blocks]),
-                          off, lens)
+            pcs = np.concatenate([b.pcs for b in self.blocks])
+            self._flat = (pcs.astype(np.int32), off, lens)
         return self._flat
 
 
@@ -862,7 +838,7 @@ class FastExecutor:
 
     Same constructor signature, same ``run()`` contract, same ``states``
     / ``mem`` surface for final-state inspection -- but trace generation
-    runs over pre-compiled basic blocks and emits columnar arrays
+    runs over pre-compiled basic blocks and emits the trace layout
     directly.  Verified bit-identical (npz bytes, digests, final state)
     against the reference executor; see ``tests/test_fast_executor.py``
     and the ``func-diff`` CI job.
@@ -956,7 +932,7 @@ class FastExecutor:
             return "halt"
 
     # ------------------------------------------------------------------
-    # Columnar trace materialization
+    # Trace-layout materialization
     # ------------------------------------------------------------------
 
     def _materialize(self) -> ProgramTrace:
@@ -990,7 +966,8 @@ class FastExecutor:
                             num_threads=self.num_threads, threads=threads)
 
     def _expand_static(self, path: np.ndarray) -> Dict[str, object]:
-        """Path-dependent (but thread-independent) column expansion."""
+        """Path-dependent (but thread-independent) expansion: each op's
+        pc, the rows, and where the sparse fields come from."""
         dp = self._dp
         pcs_flat, blk_off, blk_len = dp.flat()
         lens = blk_len[path]
@@ -999,122 +976,97 @@ class FastExecutor:
         idx = np.repeat(blk_off[path] - (ends - lens), lens) \
             + np.arange(total, dtype=np.int64)
         pcs = pcs_flat[idx]
+        del idx
 
-        # per-thread first-appearance opcode table
-        ops_g = dp.op_gid[pcs]
-        uniq, first = np.unique(ops_g, return_index=True)
-        order = np.argsort(first)
-        table_gids = uniq[order]
-        remap = np.zeros(len(dp.mnemonics), dtype=np.int64)
-        remap[table_gids] = np.arange(table_gids.size, dtype=np.int64)
-        ops = remap[ops_g]
-        op_table = [dp.mnemonics[g] for g in table_gids]
+        # rows: the distinct pcs of the path's blocks, in pc order; op
+        # ids in order of first appearance, found by scanning each block
+        # at its first occurrence (no op of a later occurrence is new)
+        bids, first = np.unique(path, return_index=True)
+        remap: Dict[int, int] = {}
+        for b in bids[np.argsort(first)].tolist():
+            for g in dp.op_gid[dp.blocks[b].pcs].tolist():
+                remap.setdefault(g, len(remap))
+        upcs = np.unique(np.concatenate([dp.blocks[b].pcs for b in bids]))
+        reads = [dp.reads[pc] for pc in upcs.tolist()]
+        writes = [dp.writes[pc] for pc in upcs.tolist()]
+        rows = {
+            "row_pcs": upcs.astype(np.int64),
+            "row_ops": np.array([remap[g] for g in dp.op_gid[upcs].tolist()],
+                                dtype=np.int64),
+            "row_imms": dp.imm_base[upcs], "row_tgts": dp.tgt_base[upcs],
+            "row_has_addrs": dp.is_mem[upcs].astype(np.int8),
+            "row_r_off": _offsets([len(r) for r in reads]),
+            "row_r_flat": np.fromiter(chain.from_iterable(reads),
+                                      dtype=np.int64),
+            "row_w_off": _offsets([len(w) for w in writes]),
+            "row_w_flat": np.fromiter(chain.from_iterable(writes),
+                                      dtype=np.int64),
+        }
 
-        takens = dp.taken_base[pcs]
-        cpos = np.nonzero(dp.is_cond[pcs])[0]
-        if cpos.size:
-            takens[cpos] = pcs[cpos + 1] == dp.tgt_base[pcs[cpos]]
-
-        rl = dp.r_len[pcs]
-        r_off = np.zeros(total + 1, dtype=np.int64)
-        np.cumsum(rl, out=r_off[1:])
-        r_flat = dp.r_cat[np.repeat(dp.r_cat_off[pcs] - (r_off[1:] - rl), rl)
-                          + np.arange(int(r_off[-1]), dtype=np.int64)]
-        wl = dp.w_len[pcs]
-        w_off = np.zeros(total + 1, dtype=np.int64)
-        np.cumsum(wl, out=w_off[1:])
-        w_flat = dp.w_cat[np.repeat(dp.w_cat_off[pcs] - (w_off[1:] - wl), wl)
-                          + np.arange(int(w_off[-1]), dtype=np.int64)]
-
+        # each vector op's VL is the last setvl's value before it
+        vpos = np.flatnonzero(dp.is_vector[pcs])
+        spos = np.flatnonzero(dp.is_setvl[pcs])
+        bpos = np.flatnonzero(dp.is_branch[pcs])
+        bpcs = pcs[bpos]
+        takens = np.ones(bpos.size, dtype=np.int8)  # j, jal, jr: taken
+        cond = np.flatnonzero(dp.is_cond[bpcs])
+        takens[cond] = pcs[bpos[cond] + 1] == dp.tgt_base[bpcs[cond]]
         return {
-            "pcs": pcs, "ops": ops, "op_table": op_table,
-            "imms": dp.imm_base[pcs], "takens": takens,
-            "tgts": dp.tgt_base[pcs], "has_addrs": dp.is_mem[pcs],
-            "r_off": r_off, "r_flat": r_flat,
-            "w_off": w_off, "w_flat": w_flat,
-            "vpos": np.nonzero(dp.is_vector[pcs])[0],
-            "spos": np.nonzero(dp.is_setvl[pcs])[0],
-            "apos": np.nonzero(dp.is_amb[pcs])[0],
-            "jpos": np.nonzero(dp.is_jr[pcs])[0],
-            "mspos": np.nonzero(dp.is_smem[pcs])[0],
-            "mvpos": np.nonzero(dp.is_vmem[pcs])[0],
+            "pcs": pcs, "rows": rows,
+            "op_table": [dp.mnemonics[g] for g in remap],
+            "vl_src": np.searchsorted(spos, vpos, side="right") - 1,
+            "takens": takens, "amb": np.flatnonzero(dp.is_amb[bpcs]),
+            "mem_vec": dp.is_vmem[pcs[dp.is_mem[pcs]]],
             "total": total,
         }
 
     def _thread_columns(self, tr: _ThreadRun,
                         stat: Dict[str, object]) -> ThreadTrace:
-        total = stat["total"]
-        vpos, spos = stat["vpos"], stat["spos"]
-        apos, jpos = stat["apos"], stat["jpos"]
-        mspos, mvpos = stat["mspos"], stat["mvpos"]
-
-        vls = np.zeros(total, dtype=np.int64)
-        if vpos.size:
-            if spos.size:
-                j = np.searchsorted(spos, vpos, side="right") - 1
-                sv = np.asarray(tr.vls, dtype=np.int64)
-                vals = np.where(j >= 0, sv[np.maximum(j, 0)], MVL)
-            else:
-                vals = np.full(vpos.size, MVL, dtype=np.int64)
-            vls[vpos] = vals
-
-        takens = stat["takens"]
-        if apos.size:
-            takens = takens.copy()
-            takens[apos] = np.asarray(tr.ambs, dtype=np.int8)
-        tgts = stat["tgts"]
-        if jpos.size:
-            tgts = tgts.copy()
-            tgts[jpos] = np.asarray(tr.jrs, dtype=np.int64)
-
-        a_off = np.zeros(total + 1, dtype=np.int64)
-        if mvpos.size and not mspos.size:
-            # vector-only memory traffic: one concatenate, offsets from
-            # the per-op lengths
-            vecs = tr.addrs_v
-            vlens = np.fromiter((x.size for x in vecs), dtype=np.int64,
-                                count=len(vecs))
-            per = np.zeros(total, dtype=np.int64)
-            per[mvpos] = vlens
-            np.cumsum(per, out=a_off[1:])
-            a_flat = (np.concatenate(vecs) if len(vecs) > 1
-                      else vecs[0].copy())
-        elif mspos.size and not mvpos.size:
-            # scalar-only: every record is one address
-            per = np.zeros(total, dtype=np.int64)
-            per[mspos] = 1
-            np.cumsum(per, out=a_off[1:])
-            a_flat = np.asarray(tr.addrs_s, dtype=np.int64)
-        elif mspos.size:
-            vecs = tr.addrs_v
-            vlens = np.fromiter((x.size for x in vecs), dtype=np.int64,
-                                count=len(vecs))
-            per = np.zeros(total, dtype=np.int64)
-            per[mspos] = 1
-            per[mvpos] = vlens
-            np.cumsum(per, out=a_off[1:])
-            a_flat = np.empty(int(a_off[-1]), dtype=np.int64)
-            a_flat[a_off[mspos]] = np.asarray(tr.addrs_s, dtype=np.int64)
-            vtot = int(vlens.sum())
-            vidx = (np.repeat(a_off[mvpos] - (np.cumsum(vlens) - vlens),
-                              vlens)
-                    + np.arange(vtot, dtype=np.int64))
-            a_flat[vidx] = (np.concatenate(vecs) if len(vecs) > 1
-                            else vecs[0])
+        vl_src = stat["vl_src"]
+        if tr.vls:
+            sv = np.asarray(tr.vls, dtype=np.int16)
+            vls = np.where(vl_src >= 0, sv[np.maximum(vl_src, 0)],
+                           MVL).astype(np.int16, copy=False)
         else:
-            a_flat = np.empty(0, dtype=np.int64)
-
+            vls = np.full(vl_src.size, MVL, dtype=np.int16)
+        takens = stat["takens"]
+        if tr.ambs:
+            takens = takens.copy()
+            takens[stat["amb"]] = tr.ambs
+        counts, addrs = _addresses(tr, stat["mem_vec"])
         cols = {
-            "pcs": stat["pcs"], "ops": stat["ops"], "vls": vls,
-            "takens": takens, "tgts": tgts, "imms": stat["imms"],
-            "has_addrs": stat["has_addrs"],
-            "r_off": stat["r_off"], "w_off": stat["w_off"], "a_off": a_off,
-            "r_flat": stat["r_flat"], "w_flat": stat["w_flat"],
-            "a_flat": a_flat,
+            **stat["rows"], "pcs": stat["pcs"], "vls": vls, "takens": takens,
+            "jr_tgts": np.asarray(tr.jrs, dtype=np.int32),
+            "addr_counts": counts, "addrs": addrs,
         }
-        # threads (and runs) that share this expansion share its per-pc
-        # decode: it depends only on the static columns above
+        # threads (and runs) that share this expansion share its rows'
+        # decode: it depends only on the rows and pcs above
         static = stat.get("static")
         if static is None:
-            static = stat["static"] = decode_static(cols, stat["op_table"])
+            static = stat["static"] = decode_static(
+                {**cols, "op_table": stat["op_table"]})
         return ThreadTrace(tr.st.tid, cols, stat["op_table"], static=static)
+
+
+def _addresses(tr: _ThreadRun, mem_vec: np.ndarray
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """The address count of each memory op and the flat addresses, in
+    trace order; ``mem_vec`` says which memory ops are vector ones."""
+    vecs = tr.addrs_v
+    if not vecs:        # scalar memory ops only: one address each
+        return (np.ones(mem_vec.size, dtype=np.int16),
+                np.asarray(tr.addrs_s, dtype=np.int64))
+    vlens = np.fromiter((x.size for x in vecs), dtype=np.int16,
+                        count=len(vecs))
+    vflat = np.concatenate(vecs)
+    if not tr.addrs_s:  # vector memory ops only
+        return vlens, vflat
+    counts = np.ones(mem_vec.size, dtype=np.int16)
+    counts[mem_vec] = vlens
+    starts = np.cumsum(counts, dtype=np.int64) - counts
+    addrs = np.empty(int(starts[-1]) + int(counts[-1]), dtype=np.int64)
+    addrs[starts[~mem_vec]] = tr.addrs_s
+    vstarts = starts[mem_vec]
+    addrs[np.repeat(vstarts - (np.cumsum(vlens, dtype=np.int64) - vlens),
+                    vlens) + np.arange(vflat.size)] = vflat
+    return counts, addrs

@@ -8,17 +8,25 @@ written, the dynamic vector length, the element byte addresses of
 memory operations, and branch outcomes -- and nothing else (no data
 values).
 
-A thread's trace is stored once, as the columnar parallel arrays of
-the npz cache format (:data:`COLUMN_NAMES`), which both executors
-record and the npz loader attaches.  Two forms are built from the
-columns on first use:
+A thread's trace is stored once, in the layout of the npz cache format
+(:data:`COLUMN_NAMES`), which both executors emit and the npz loader
+checks.  What an instruction fixes is stored once per pc: one *row* per
+distinct pc, in pc order, holds the op id, the register uids read and
+written, the ``vltcfg`` immediate, the static branch target and whether
+the op has addresses.  Per op only its pc is stored.  Each dynamic
+field is stored only for the ops that have one, in trace order: the VL
+of each vector op, the outcome of each branch, the target of each
+``jr``, and the address count of each memory op with the addresses
+themselves.  Which ops carry which field follows from their rows, so
+the layout cannot hold two disagreeing copies of a pc's static fields.
+
+Two forms are built from the layout on first use:
 
 * the replay form (:class:`ReplayTrace`) the timing units read: one
-  shared :class:`StaticOp` per distinct pc, decoded once from the
-  columns with a check (:func:`decode_static`), plain lists of the
-  dynamic fields, and the per-trace tables every machine configuration
-  shares (each vector op's register split, each vector memory op's
-  distinct cache lines);
+  shared :class:`StaticOp` per row, plain per-op lists of the dynamic
+  fields, and the per-trace tables every machine configuration shares
+  (each vector op's register split, each vector memory op's distinct
+  cache lines);
 * a ``List[DynOp]``, one object per dynamic op, which tools (diff,
   pipeview, event payloads) read.
 """
@@ -28,17 +36,33 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import BinaryIO, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..isa.opcodes import OpSpec, spec
-from ..isa.registers import NUM_REG_UIDS, V_BASE, uid_is_scalar
+from ..isa.registers import MVL, NUM_REG_UIDS, V_BASE, uid_is_scalar
 
-#: the per-thread parallel arrays of the columnar trace layout, in
-#: canonical (serialization) order
-COLUMN_NAMES = ("pcs", "ops", "vls", "takens", "tgts", "imms", "has_addrs",
-                "r_off", "w_off", "a_off", "r_flat", "w_flat", "a_flat")
+#: the per-thread arrays of the trace layout and their dtypes, in
+#: serialization order: the rows (one per distinct pc, in pc order;
+#: ``-1`` marks an absent immediate or target), each op's pc, and the
+#: sparse fields of :data:`SPARSE`
+COLUMN_DTYPES = {
+    "row_pcs": np.dtype(np.int64), "row_ops": np.dtype(np.int64),
+    "row_imms": np.dtype(np.int64), "row_tgts": np.dtype(np.int64),
+    "row_has_addrs": np.dtype(np.int8),
+    "row_r_off": np.dtype(np.int64), "row_r_flat": np.dtype(np.int64),
+    "row_w_off": np.dtype(np.int64), "row_w_flat": np.dtype(np.int64),
+    "pcs": np.dtype(np.int32),
+    "vls": np.dtype(np.int16), "takens": np.dtype(np.int8),
+    "jr_tgts": np.dtype(np.int32), "addr_counts": np.dtype(np.int16),
+    "addrs": np.dtype(np.int64),
+}
+COLUMN_NAMES = tuple(COLUMN_DTYPES)
+
+#: the sparse fields: one entry per vector op, branch, ``jr`` and
+#: memory op, in trace order (the addresses follow ``addr_counts``)
+SPARSE = ("vls", "takens", "jr_tgts", "addr_counts")
 
 
 class TraceInvariantError(ValueError):
@@ -49,6 +73,20 @@ class TraceInvariantError(ValueError):
 #: program's length and bounds the per-pc tables a corrupt trace could
 #: make the decode (and the machine's code pre-touch) allocate.
 MAX_PC = 1 << 20
+
+
+#: the flags of :func:`_op_kinds`: the first four say which of the
+#: :data:`SPARSE` fields an op carries
+_VECTOR, _BRANCH, _JR, _MEM, _SCALAR_MEM = range(5)
+
+
+def _op_kinds(op: str) -> Tuple[bool, bool, bool, bool, bool]:
+    """Whether an op of mnemonic ``op`` is a vector op, a branch, a
+    ``jr``, a memory op, and a scalar memory op (exactly one
+    address)."""
+    sp = spec(op)
+    return (sp.is_vector, sp.is_branch, op == "jr",
+            sp.pool in ("mem", "vmem"), sp.pool == "mem")
 
 
 class DynOp:
@@ -79,22 +117,25 @@ class DynOp:
 
 
 class StaticOp:
-    """The part of a dynamic op that every instance of its pc shares.
+    """The part of a dynamic op that every instance of its pc shares:
+    one row of the layout.
 
     It has :class:`DynOp`'s static attributes (``pc``, ``op``, ``spec``,
-    ``reads``, ``writes``), so the timing units read either kind the
-    same way.
+    ``reads``, ``writes``, ``imm``), so the timing units read either
+    kind the same way.
     """
 
-    __slots__ = ("pc", "op", "spec", "reads", "writes")
+    __slots__ = ("pc", "op", "spec", "reads", "writes", "imm")
 
     def __init__(self, pc: int, op: str, spec: OpSpec,
-                 reads: Tuple[int, ...], writes: Tuple[int, ...]):
+                 reads: Tuple[int, ...], writes: Tuple[int, ...],
+                 imm: Optional[int] = None):
         self.pc = pc
         self.op = op
         self.spec = spec
         self.reads = reads
         self.writes = writes
+        self.imm = imm          # the vltcfg immediate (None for others)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<StaticOp pc={self.pc} {self.op}>"
@@ -133,25 +174,52 @@ def _gather(records: list, index: np.ndarray) -> list:
     return table[index].tolist()
 
 
-def _distinct_lines(a_off: np.ndarray, a_flat: np.ndarray,
-                    ops: np.ndarray, line: int) -> list:
-    """The sorted distinct line numbers of each op in ``ops`` (trace
-    indices), in one vectorised pass.
+def _row_kinds(cols: Dict[str, object]) -> np.ndarray:
+    """A (rows, 5) bool table: each row's :func:`_op_kinds`."""
+    table = np.array([_op_kinds(op) for op in cols["op_table"]],
+                     dtype=bool).reshape(-1, 5)
+    return table[cols["row_ops"]]
+
+
+def _positions(kinds: np.ndarray, index: np.ndarray,
+               kind: int) -> np.ndarray:
+    """The trace indices of the ops whose row has :func:`_op_kinds` flag
+    ``kind`` set."""
+    return np.flatnonzero(kinds[index, kind])
+
+
+def _spread(size: int, pos: np.ndarray, values: np.ndarray,
+            fill: int) -> np.ndarray:
+    """A per-op int64 array: ``values`` at ``pos``, ``fill`` elsewhere."""
+    out = np.full(size, fill, dtype=np.int64)
+    out[pos] = values
+    return out
+
+
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """Where each memory op's addresses start in the flat addresses."""
+    ends = np.cumsum(counts, dtype=np.int64)
+    return ends - counts
+
+
+def _distinct_lines(starts: np.ndarray, lens: np.ndarray,
+                    addrs: np.ndarray, line: int) -> list:
+    """The sorted distinct line numbers of each access whose addresses
+    are ``addrs[starts[k]:starts[k] + lens[k]]``, in one vectorised
+    pass.
 
     A run of consecutive lines is stored as a ``range`` and any other
     set as a tuple, and equal sets share one object, so the table holds
     no int object per line of a unit-stride access and one object per
     distinct footprint.
     """
-    starts = a_off[ops]
-    lens = a_off[ops + 1] - starts
-    seg = np.repeat(np.arange(ops.size), lens)
-    lines = a_flat[np.repeat(starts - np.cumsum(lens) + lens, lens)
-                   + np.arange(seg.size)] // line
+    seg = np.repeat(np.arange(starts.size), lens)
+    lines = addrs[np.repeat(starts - np.cumsum(lens) + lens, lens)
+                  + np.arange(seg.size)] // line
     lines = lines[np.lexsort((lines, seg))]   # sorted within each op
     keep = np.ones(lines.size, dtype=bool)
     keep[1:] = (lines[1:] != lines[:-1]) | (seg[1:] != seg[:-1])
-    counts = np.bincount(seg[keep], minlength=ops.size).tolist()
+    counts = np.bincount(seg[keep], minlength=starts.size).tolist()
     uniq = lines[keep].tolist()
     table = []
     shared: dict = {}
@@ -169,12 +237,12 @@ def _distinct_lines(a_off: np.ndarray, a_flat: np.ndarray,
 class ReplayTrace:
     """One thread's trace in the form the timing units replay.
 
-    ``ops[i]`` is op *i*'s shared per-pc :class:`StaticOp`.  The dynamic
-    fields the units read are plain lists indexed like ``ops``:
+    ``ops[i]`` is op *i*'s shared per-pc :class:`StaticOp` (its row; a
+    ``vltcfg``'s immediate is its ``imm``).  The dynamic fields the
+    units read are plain lists indexed like ``ops``:
 
     * ``vls`` -- the vector length (0 for scalar ops);
     * ``takens`` -- the branch outcome (-1 none, 0, 1);
-    * ``imms`` -- the ``vltcfg`` immediate (-1 none);
     * ``addrs`` -- the first element address of each memory op (0 for
       others); a scalar memory op has exactly one.
 
@@ -184,34 +252,39 @@ class ReplayTrace:
     * :meth:`vlines` -- each vector memory op's sorted distinct cache
       lines, in trace order, built on first use for each line size.
 
-    A vector memory op's addresses are sliced from the flat address
-    column by :meth:`vaddrs` when the op is dispatched.
+    The *k*-th vector memory op's addresses are sliced from the flat
+    addresses by :meth:`vaddrs` when the op is dispatched.
     """
 
-    __slots__ = ("records", "index", "ops", "vls", "takens", "imms",
-                 "addrs", "vregs", "_a_off", "_a_flat", "_lines")
+    __slots__ = ("records", "index", "ops", "vls", "takens", "addrs",
+                 "vregs", "_addrs", "_vstarts", "_vlens", "_lines")
 
     def __init__(self, cols: Dict[str, object],
                  static: Tuple[List[StaticOp], np.ndarray]):
         records, index = static
+        n = index.size
+        kinds = _row_kinds(cols)
         #: one record per distinct pc, in pc order
         self.records = records
         #: each op's position in :attr:`records`
         self.index = index
         self.ops: List[StaticOp] = _gather(records, index)
-        self.vls: List[int] = cols["vls"].tolist()
-        self.takens: List[int] = cols["takens"].tolist()
-        self.imms: List[int] = cols["imms"].tolist()
-        a_off, a_flat = cols["a_off"], cols["a_flat"]
-        starts = a_off[:-1]
-        has = a_off[1:] > starts
-        first = np.zeros(starts.size, dtype=np.int64)
-        first[has] = a_flat[starts[has]]
-        self.addrs: List[int] = first.tolist()
+        self.vls: List[int] = _spread(
+            n, _positions(kinds, index, _VECTOR), cols["vls"], 0).tolist()
+        self.takens: List[int] = _spread(
+            n, _positions(kinds, index, _BRANCH), cols["takens"], -1).tolist()
+        addrs, counts = cols["addrs"], cols["addr_counts"]
+        mem = _positions(kinds, index, _MEM)
+        starts = _starts(counts)
+        has = counts > 0
+        self.addrs: List[int] = _spread(
+            n, mem[has], addrs[starts[has]], 0).tolist()
+        is_vmem = kinds[index[mem], _VECTOR]
         self.vregs: Dict[int, VectorRegs] = {
             r.pc: VectorRegs(r) for r in records if r.spec.is_vector}
-        self._a_off = a_off
-        self._a_flat = a_flat
+        self._addrs = addrs
+        self._vstarts = starts[is_vmem]
+        self._vlens = counts[is_vmem].astype(np.int64)
         self._lines: Dict[int, list] = {}
 
     def per_op(self, table: list) -> list:
@@ -219,9 +292,11 @@ class ReplayTrace:
         entry) to one value per op."""
         return _gather(table, self.index)
 
-    def vaddrs(self, i: int) -> np.ndarray:
-        """The element addresses of op ``i`` (a read-only view)."""
-        return self._a_flat[self._a_off[i]:self._a_off[i + 1]]
+    def vaddrs(self, k: int) -> np.ndarray:
+        """The element addresses of the trace's *k*-th vector memory op
+        (a read-only view)."""
+        start = self._vstarts[k]
+        return self._addrs[start:start + self._vlens[k]]
 
     def vlines(self, line: int) -> list:
         """Item *k* is the sorted distinct ``line``-byte line numbers
@@ -230,26 +305,21 @@ class ReplayTrace:
         per vector memory op."""
         table = self._lines.get(line)
         if table is None:
-            is_vmem = np.array([r.spec.pool == "vmem"
-                                for r in self.records], dtype=bool)
-            ops = np.flatnonzero(is_vmem[self.index])
             table = self._lines[line] = _distinct_lines(
-                self._a_off, self._a_flat, ops, line)
+                self._vstarts, self._vlens, self._addrs, line)
         return table
 
 
 class ThreadTrace:
-    """The dynamic trace of one software thread, as columns.
+    """The dynamic trace of one software thread, in the trace layout.
 
     ``arrays`` are the thread's :data:`COLUMN_NAMES` arrays and
     ``op_table`` its mnemonics in op-id order; both executors and the
-    npz loader build a trace from them.  The columns are decoded per pc
-    here (:func:`decode_static`), so a corrupt mnemonic table or a trace
-    that breaks the per-pc invariant raises now, not at some later
-    replay.  ``static`` is a decode made from the very same
-    ``pcs``/``ops``/reads/writes arrays (threads that share one
-    control-flow path share them); it is reused, and only the layout of
-    these columns is checked.
+    npz loader build a trace from them.  The layout is checked here
+    (:func:`_check_layout`), so a corrupt entry raises now, not at some
+    later replay.  ``static`` is a decode made from the very same rows
+    and ``pcs`` (threads that share one control-flow path share them);
+    it is reused.
 
     Barriers segment the trace only implicitly: barrier ops appear
     in-stream and the timing model synchronises on them.  The other
@@ -266,13 +336,10 @@ class ThreadTrace:
                  static: Optional[Tuple[List[StaticOp], np.ndarray]] = None):
         cols: Dict[str, object] = dict(arrays)
         cols["op_table"] = list(op_table)
-        if static is None:
-            static = decode_static(cols, cols["op_table"])
-        else:
-            _check_layout(cols, [spec(op) for op in op_table])
+        index = _check_layout(cols)
         self.tid = tid
         self._cols = cols
-        self._static = static
+        self._static = static or (_records(cols), index)
         self._ops: Optional[List[DynOp]] = None
         self._replay: Optional[ReplayTrace] = None
 
@@ -280,9 +347,7 @@ class ThreadTrace:
     def ops(self) -> List[DynOp]:
         """One :class:`DynOp` per op, built on first use."""
         if self._ops is None:
-            records, index = self._static
-            self._ops = _ops_from_columns(self._cols,
-                                          _gather(records, index))
+            self._ops = _ops_from_columns(self._cols, *self._static)
         return self._ops
 
     def __len__(self) -> int:
@@ -291,9 +356,9 @@ class ThreadTrace:
     # -- columnar and replay views ------------------------------------------
 
     def columns(self) -> Dict[str, object]:
-        """The thread's columns: the parallel arrays the npz cache
-        format stores (see the serialization section below), plus
-        ``op_table``, the mnemonic of each id in the ``ops`` column.
+        """The thread's columns: the arrays the npz cache format stores
+        (see the serialization section below), plus ``op_table``, the
+        mnemonic of each id in the ``row_ops`` column.
         """
         return self._cols
 
@@ -306,36 +371,31 @@ class ThreadTrace:
 
     # -- summary statistics (used by workload characterisation) -------------
 
-    def _vector_mask(self) -> np.ndarray:
-        """Which ops of the columns are vector ops."""
-        cols = self._cols
-        is_vec = np.array([spec(op).is_vector for op in cols["op_table"]],
-                          dtype=bool)
-        return is_vec[cols["ops"]]
-
     def counts(self) -> Dict[str, int]:
         """Instruction-count summary: total, scalar, vector, element ops."""
-        vec = self._vector_mask()
-        total = int(vec.size)
-        vector = int(np.count_nonzero(vec))
+        vls = self._cols["vls"]     # one entry per vector op
+        total = len(self)
         return {
             "total": total,
-            "scalar": total - vector,
-            "vector": vector,
-            "element_ops": int(self._cols["vls"][vec].sum()),
+            "scalar": total - vls.size,
+            "vector": int(vls.size),
+            "element_ops": int(vls.sum()),
         }
 
     def vector_lengths(self) -> np.ndarray:
         """The dynamic VL of every vector instruction, in order."""
-        return self._cols["vls"][self._vector_mask()].astype(
-            np.int64, copy=True)
+        return self._cols["vls"].astype(np.int64)
 
     def opcode_histogram(self) -> Dict[str, int]:
         """Dynamic instruction counts per mnemonic, in order of first
         appearance."""
         table = self._cols["op_table"]
-        counts = np.bincount(self._cols["ops"], minlength=len(table))
-        return {op: int(n) for op, n in zip(table, counts) if n}
+        per_row = np.bincount(self._static[1],
+                              minlength=self._cols["row_ops"].size)
+        counts = [0] * len(table)
+        for op, n in zip(self._cols["row_ops"].tolist(), per_row.tolist()):
+            counts[op] += n
+        return {op: n for op, n in zip(table, counts) if n}
 
     def pool_histogram(self) -> Dict[str, int]:
         """Dynamic instruction counts per functional-unit pool."""
@@ -378,138 +438,151 @@ class ProgramTrace:
 # (De)serialization -- the on-disk trace cache format
 # --------------------------------------------------------------------------
 #
-# Traces are stored columnar: one set of parallel NumPy arrays per
-# thread, bundled with a JSON manifest into an .npz container.  An op's
-# :class:`OpSpec` is a pure function of its mnemonic, so only an index
-# into a per-thread opcode string table is stored and ``spec(op)``
-# rebuilds the reference on load.  Optional per-op payloads (memory
-# addresses, register-uid tuples) are flattened with offset arrays.
+# Each thread's layout arrays are bundled with a JSON manifest into an
+# .npz container.  An op's :class:`OpSpec` is a pure function of its
+# mnemonic, so only an index into a per-thread opcode string table is
+# stored and ``spec(op)`` rebuilds the reference on load.  Register uids
+# are flattened with offset arrays, addresses with a count per memory op.
 # ``allow_pickle`` stays False on both ends.
 
-#: bump when the columnar layout changes; loaders reject other versions.
-TRACE_FORMAT_VERSION = 1
+#: bump when the layout changes; loaders reject other versions.
+TRACE_FORMAT_VERSION = 2
 
 
-def _ops_from_columns(arrays: Dict[str, np.ndarray],
-                      records: List[StaticOp]) -> List[DynOp]:
-    """Materialise the ``List[DynOp]`` form of one thread's columns.
+def _records(cols: Dict[str, object]) -> List[StaticOp]:
+    """One :class:`StaticOp` per row, in pc order."""
+    table = cols["op_table"]
+    r_off, r_flat = cols["row_r_off"].tolist(), cols["row_r_flat"].tolist()
+    w_off, w_flat = cols["row_w_off"].tolist(), cols["row_w_flat"].tolist()
+    return [StaticOp(pc, table[op], spec(table[op]),
+                     tuple(r_flat[r_off[k]:r_off[k + 1]]),
+                     tuple(w_flat[w_off[k]:w_off[k + 1]]),
+                     None if imm < 0 else imm)
+            for k, (pc, op, imm) in enumerate(zip(
+                cols["row_pcs"].tolist(), cols["row_ops"].tolist(),
+                cols["row_imms"].tolist()))]
 
-    ``records[i]`` is op *i*'s per-pc record: every op of one pc shares
-    its ``spec``, ``reads`` and ``writes`` objects.
-    """
-    a_off = arrays["a_off"].tolist()
-    a_flat = arrays["a_flat"]
+
+def _ops_from_columns(cols: Dict[str, object], records: List[StaticOp],
+                      index: np.ndarray) -> List[DynOp]:
+    """Materialise the ``List[DynOp]`` form of one thread's columns:
+    every op of one pc shares its ``spec``, ``reads`` and ``writes``
+    objects."""
+    n = index.size
+    kinds = _row_kinds(cols)
+    vls = _spread(n, _positions(kinds, index, _VECTOR), cols["vls"], 0)
+    takens = _spread(n, _positions(kinds, index, _BRANCH), cols["takens"], -1)
+    tgts = cols["row_tgts"][index]
+    tgts[_positions(kinds, index, _JR)] = cols["jr_tgts"]
+    mem = _positions(kinds, index, _MEM)
+    counts = cols["addr_counts"]
+    a_start = _spread(n, mem, _starts(counts), -1).tolist()
+    a_len = _spread(n, mem, counts, 0).tolist()
+    addrs = cols["addrs"]
     out: List[DynOp] = []
     append = out.append
-    for i, (rec, vl, taken, tgt, imm, has_addrs) in enumerate(zip(
-            records, arrays["vls"].tolist(), arrays["takens"].tolist(),
-            arrays["tgts"].tolist(), arrays["imms"].tolist(),
-            arrays["has_addrs"].tolist())):
+    for rec, vl, taken, tgt, start, size in zip(
+            _gather(records, index), vls.tolist(), takens.tolist(),
+            tgts.tolist(), a_start, a_len):
         append(DynOp(
             rec.pc, rec.op, rec.spec, rec.reads, rec.writes, vl,
-            a_flat[a_off[i]:a_off[i + 1]].copy() if has_addrs else None,
+            None if start < 0 else addrs[start:start + size].copy(),
             None if taken < 0 else taken > 0,
-            None if tgt < 0 else tgt,
-            None if imm < 0 else imm))
+            None if tgt < 0 else tgt, rec.imm))
     return out
 
 
-def _check_layout(cols: Dict[str, object], specs: List[OpSpec]) -> None:
-    """Shape and range checks the per-pc decode and the replay rely on;
-    ``specs[k]`` is the spec of op id ``k``."""
-    n = cols["pcs"].size
-    for name in ("ops", "vls", "takens", "tgts", "imms", "has_addrs"):
-        if cols[name].shape != (n,):
-            raise TraceInvariantError(
-                f"column {name!r} has shape {cols[name].shape}, "
-                f"expected ({n},)")
-    for kind in "rwa":
-        off, flat = cols[f"{kind}_off"], cols[f"{kind}_flat"]
-        if (off.shape != (n + 1,) or off[0] != 0 or off[-1] != flat.size
-                or (n and np.diff(off).min() < 0)):
-            raise TraceInvariantError(
-                f"offsets {kind}_off do not tile {kind}_flat")
-    if n and (cols["pcs"].min() < 0 or cols["pcs"].max() >= MAX_PC
-              or cols["ops"].min() < 0 or cols["ops"].max() >= len(specs)):
-        raise TraceInvariantError("a pc or op id is out of range")
-    for kind in "rw":
-        flat = cols[f"{kind}_flat"]
-        if flat.size and (flat.min() < 0 or flat.max() >= NUM_REG_UIDS):
-            raise TraceInvariantError(
-                f"a register uid in {kind}_flat is out of range")
-    takens = cols["takens"]
-    if n and (takens.min() < -1 or takens.max() > 1):
-        raise TraceInvariantError("a branch outcome is not -1, 0 or 1")
-    is_smem = np.array([sp.pool == "mem" for sp in specs], dtype=bool)
-    no_addr = is_smem[cols["ops"]] & (np.diff(cols["a_off"]) == 0)
-    if no_addr.any():
-        raise TraceInvariantError(
-            f"scalar memory op at trace index "
-            f"{int(np.argmax(no_addr))} has no address")
+def _out_of_range(a: np.ndarray, lo: int, hi: int) -> bool:
+    """Whether some entry of ``a`` lies outside ``[lo, hi)``."""
+    return bool(a.size) and (int(a.min()) < lo or int(a.max()) >= hi)
 
 
-def decode_static(cols: Dict[str, object], op_table: List[str]
-                  ) -> Tuple[List[StaticOp], np.ndarray]:
-    """Decode a thread's columns once per pc, with a check.
+def _check_layout(cols: Dict[str, object]) -> np.ndarray:
+    """Check a thread's layout; return each op's row position.
 
-    Returns ``(records, index)``: one :class:`StaticOp` per distinct pc,
-    in pc order, and each op's position in ``records``.  Every dynamic
-    op at one pc must carry the same op id, reads and writes -- the
-    fields of the instruction at that pc, so every executor-recorded
-    trace does.  Raises :class:`TraceInvariantError` when the columns
-    break that or are malformed, so a corrupt trace fails here and not
-    as a wrong cycle count.  The check is vectorised: one gather-compare
-    per column against one representative op of each pc.
+    Raises :class:`TraceInvariantError` when a column has the wrong
+    dtype or shape, a pc has no row, a sparse field has more or fewer
+    entries than there are ops of its kind, a uid, pc, op id, VL or
+    outcome is out of range, the offsets do not tile, a row's
+    has-addresses flag disagrees with its op, or a scalar memory op
+    does not have exactly one address.  So a corrupt trace fails here
+    and not as a wrong cycle count.
     """
-    specs = [spec(op) for op in op_table]
-    _check_layout(cols, specs)
-    pcs, ops = cols["pcs"], cols["ops"]
-    # pcs are small non-negative ints (checked above): index by value
-    upcs = np.flatnonzero(np.bincount(pcs))
-    slot = np.zeros(upcs[-1] + 1 if upcs.size else 0, dtype=np.int64)
-    slot[upcs] = np.arange(upcs.size)
+    for name, dtype in COLUMN_DTYPES.items():
+        if cols[name].dtype != dtype or cols[name].ndim != 1:
+            raise TraceInvariantError(
+                f"column {name!r} is {cols[name].dtype} of shape "
+                f"{cols[name].shape}, expected a 1-D {dtype} column")
+    row_pcs, row_ops = cols["row_pcs"], cols["row_ops"]
+    rows = row_pcs.size
+    for name in ("row_ops", "row_imms", "row_tgts", "row_has_addrs"):
+        if cols[name].size != rows:
+            raise TraceInvariantError(
+                f"column {name!r} has {cols[name].size} rows, "
+                f"expected {rows}")
+    for kind in "rw":
+        off, flat = cols[f"row_{kind}_off"], cols[f"row_{kind}_flat"]
+        if (off.size != rows + 1 or off[0] != 0 or off[-1] != flat.size
+                or (rows and np.diff(off).min() < 0)):
+            raise TraceInvariantError(
+                f"offsets row_{kind}_off do not tile row_{kind}_flat")
+        if _out_of_range(flat, 0, NUM_REG_UIDS):
+            raise TraceInvariantError(
+                f"a register uid in row_{kind}_flat is out of range")
+    pcs = cols["pcs"]
+    if (_out_of_range(row_pcs, 0, MAX_PC) or _out_of_range(pcs, 0, MAX_PC)
+            or _out_of_range(row_ops, 0, len(cols["op_table"]))):
+        raise TraceInvariantError("a pc or op id is out of range")
+    if rows > 1 and np.diff(row_pcs).min() <= 0:
+        raise TraceInvariantError("the rows are not in increasing pc order")
+    slot = np.full(int(row_pcs[-1]) + 1 if rows else 0, -1, dtype=np.int32)
+    slot[row_pcs] = np.arange(rows, dtype=np.int32)
+    if pcs.size and int(pcs.max()) >= slot.size:
+        raise TraceInvariantError(f"pc {int(pcs.max())} has no row")
     index = slot[pcs]
-    first = np.empty(upcs.size, dtype=np.int64)
-    first[index] = np.arange(pcs.size)   # one op of each pc
-    rep = first[index]   # per op: its pc's representative
-
-    def disagree(bad: np.ndarray, what: str) -> None:
-        i = int(np.argmax(bad))
+    if index.size and int(index.min()) < 0:
         raise TraceInvariantError(
-            f"trace index {i} (pc {int(pcs[i])}): {what} differ from "
-            f"trace index {int(rep[i])} at that pc")
-
-    bad = ops[rep] != ops
-    if bad.any():
-        disagree(bad, "op ids")
-    for kind, what in (("r", "reads"), ("w", "writes")):
-        off, flat = cols[f"{kind}_off"], cols[f"{kind}_flat"]
-        lens = np.diff(off)
-        bad = lens[rep] != lens
-        if bad.any():
-            disagree(bad, what)
-        src = np.repeat(off[rep] - off[:-1], lens) \
-            + np.arange(flat.size, dtype=np.int64)
-        bad_flat = flat[src] != flat
-        if bad_flat.any():
-            bad = np.zeros(pcs.size, dtype=bool)
-            bad[np.searchsorted(off, np.nonzero(bad_flat)[0],
-                                side="right") - 1] = True
-            disagree(bad, what)
-    r_off, r_flat = cols["r_off"], cols["r_flat"]
-    w_off, w_flat = cols["w_off"], cols["w_flat"]
-    records = []
-    for pc, i, op in zip(upcs.tolist(), first.tolist(),
-                         ops[first].tolist()):
-        records.append(StaticOp(
-            pc, op_table[op], specs[op],
-            tuple(r_flat[r_off[i]:r_off[i + 1]].tolist()),
-            tuple(w_flat[w_off[i]:w_off[i + 1]].tolist())))
-    return records, index
+            f"pc {int(pcs[np.argmin(index)])} has no row")
+    kinds = _row_kinds(cols)
+    if not np.array_equal(kinds[:, _MEM], cols["row_has_addrs"] != 0):
+        raise TraceInvariantError(
+            "a row's has-addresses flag disagrees with its op")
+    per_row = np.bincount(index, minlength=rows)
+    for k, name in enumerate(SPARSE):
+        expected = int(per_row[kinds[:, k]].sum())
+        if cols[name].size != expected:
+            raise TraceInvariantError(
+                f"column {name!r} has {cols[name].size} entries for "
+                f"{expected} ops of its kind")
+    if _out_of_range(cols["vls"], 0, MVL + 1):
+        raise TraceInvariantError("a vector length is out of range")
+    if _out_of_range(cols["takens"], 0, 2):
+        raise TraceInvariantError("a branch outcome is not 0 or 1")
+    if _out_of_range(cols["jr_tgts"], 0, MAX_PC):
+        raise TraceInvariantError("a jr target pc is out of range")
+    counts = cols["addr_counts"]
+    if (counts.size and int(counts.min()) < 0) \
+            or int(counts.sum()) != cols["addrs"].size:
+        raise TraceInvariantError("the address counts do not tile addrs")
+    scalar = kinds[index[_positions(kinds, index, _MEM)], _SCALAR_MEM]
+    if (counts[scalar] != 1).any():
+        raise TraceInvariantError(
+            "a scalar memory op does not have exactly one address")
+    return index
 
 
-def trace_to_bytes(trace: ProgramTrace) -> bytes:
-    """Serialize a :class:`ProgramTrace` to a self-contained byte string."""
+def decode_static(cols: Dict[str, object]
+                  ) -> Tuple[List[StaticOp], np.ndarray]:
+    """Check a thread's layout and decode its rows: returns
+    ``(records, index)``, one :class:`StaticOp` per row, in pc order,
+    and each op's position in ``records``."""
+    index = _check_layout(cols)
+    return _records(cols), index
+
+
+def write_trace(trace: ProgramTrace, fh: BinaryIO) -> None:
+    """Write a :class:`ProgramTrace` to the binary file ``fh`` as one
+    npz archive, member by member."""
     arrays: Dict[str, np.ndarray] = {}
     op_tables: List[List[str]] = []
     for t in trace.threads:
@@ -526,20 +599,18 @@ def trace_to_bytes(trace: ProgramTrace) -> bytes:
     }
     arrays["manifest"] = np.frombuffer(
         json.dumps(manifest).encode("utf-8"), dtype=np.uint8)
-    buf = io.BytesIO()
-    np.savez(buf, **arrays)
-    return buf.getvalue()
+    np.savez(fh, **arrays)
 
 
-def trace_from_bytes(data: bytes) -> ProgramTrace:
-    """Inverse of :func:`trace_to_bytes`.
+def read_trace(fh: BinaryIO) -> ProgramTrace:
+    """Inverse of :func:`write_trace`.
 
     Raises ``ValueError`` on an unknown format version, and
     :class:`TraceInvariantError` when the manifest does not list one
     thread and one op table for each of its ``num_threads`` threads, in
-    tid order, or when a thread's columns fail the decode check.
+    tid order, or when a thread's layout fails :func:`_check_layout`.
     """
-    with np.load(io.BytesIO(data), allow_pickle=False) as npz:
+    with np.load(fh, allow_pickle=False) as npz:
         manifest = json.loads(bytes(npz["manifest"]).decode("utf-8"))
         if manifest["version"] != TRACE_FORMAT_VERSION:
             raise ValueError(
@@ -558,3 +629,16 @@ def trace_from_bytes(data: bytes) -> ProgramTrace:
     return ProgramTrace(program_name=manifest["program_name"],
                         num_threads=manifest["num_threads"],
                         threads=threads)
+
+
+def trace_to_bytes(trace: ProgramTrace) -> bytes:
+    """Serialize a :class:`ProgramTrace` to a self-contained byte string
+    (:func:`write_trace` into memory)."""
+    buf = io.BytesIO()
+    write_trace(trace, buf)
+    return buf.getvalue()
+
+
+def trace_from_bytes(data: bytes) -> ProgramTrace:
+    """Inverse of :func:`trace_to_bytes` (see :func:`read_trace`)."""
+    return read_trace(io.BytesIO(data))

@@ -10,7 +10,7 @@ every machine configuration with zero trace regenerations.
 Layout (everything under one user-chosen root)::
 
     <root>/traces/<d2>/<digest>-t<threads>.trace.npz   per-thread trace
-                                                       columns (see
+                                                       layout (see
                                                        repro.functional
                                                        .trace)
     <root>/results/<d2>/<key>.result.pkl               pickled RunResult
@@ -21,11 +21,13 @@ Layout (everything under one user-chosen root)::
                                                        max_cycles)
 
 ``<d2>`` is the first two hex digits of the digest (git-style fan-out).
-Writes go through a same-directory temp file and ``os.replace`` so that
-concurrent workers racing on the same key are safe: last writer wins and
-readers never observe a partial file.  Any unreadable/corrupt entry is
-treated as a miss, including a trace whose manifest does not list each
-of its threads or that fails the per-pc decode check
+Writes stream into a same-directory temp file, which ``os.replace``
+then moves into place, so that concurrent workers racing on the same
+key are safe: last writer wins and readers never observe a partial
+file; a failed write removes its temp file.  Any unreadable/corrupt
+entry is treated as a miss, including a trace of another format
+version, one whose manifest does not list each of its threads, and one
+whose layout fails the loader's check
 (:class:`~repro.functional.trace.TraceInvariantError`).
 
 Results use pickle (they are internal machine-generated artifacts keyed
@@ -42,13 +44,13 @@ import shutil
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, Optional
+from typing import BinaryIO, Callable, Dict, Optional
 
 #: tmp files from :meth:`TraceCache._atomic_write` older than this are
 #: considered abandoned (their writer is long dead) and safe to sweep
 _ORPHAN_TMP_AGE_S = 3600.0
 
-from .trace import ProgramTrace, trace_from_bytes, trace_to_bytes
+from .trace import ProgramTrace, read_trace, write_trace
 
 
 def result_key(program_digest: str, config_digest: str, num_threads: int,
@@ -105,13 +107,15 @@ class TraceCache:
     # -- atomic write helper -------------------------------------------------
 
     @staticmethod
-    def _atomic_write(path: Path, data: bytes) -> None:
+    def _atomic_write(path: Path, write: Callable[[BinaryIO], object]
+                      ) -> None:
+        """Create ``path`` with what ``write(fh)`` writes to ``fh``."""
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent,
                                    prefix=path.name + ".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
+                write(fh)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -126,14 +130,14 @@ class TraceCache:
                    num_threads: int) -> Optional[ProgramTrace]:
         path = self.trace_path(program_digest, num_threads)
         try:
-            data = path.read_bytes()
-            trace = trace_from_bytes(data)
+            with open(path, "rb") as fh:
+                trace = read_trace(fh)
         except FileNotFoundError:
             self.trace_misses += 1
             return None
         except Exception:
             # corrupt / truncated / wrong-version entry, or one that
-            # misses a thread or breaks the per-pc invariant: a miss
+            # misses a thread or fails the layout check: a miss
             self.trace_misses += 1
             return None
         if trace.num_threads != num_threads:  # pragma: no cover - paranoia
@@ -145,7 +149,7 @@ class TraceCache:
     def store_trace(self, program_digest: str, num_threads: int,
                     trace: ProgramTrace) -> Path:
         path = self.trace_path(program_digest, num_threads)
-        self._atomic_write(path, trace_to_bytes(trace))
+        self._atomic_write(path, lambda fh: write_trace(trace, fh))
         self.trace_stores += 1
         return path
 
@@ -167,7 +171,8 @@ class TraceCache:
 
     def store_result(self, key: str, result) -> Path:
         path = self.result_path(key)
-        self._atomic_write(path, pickle.dumps(result, protocol=4))
+        data = pickle.dumps(result, protocol=4)
+        self._atomic_write(path, lambda fh: fh.write(data))
         self.result_stores += 1
         return path
 

@@ -8,7 +8,8 @@ and call counts per phase name.  :func:`repro.timing.run.simulate`
 threads one through the canonical phases:
 
 * ``trace_generation`` -- functional execution producing the trace,
-  including its per-pc decode (skipped on a memoised-trace hit);
+  including its layout check and row decode (skipped on a
+  memoised-trace hit);
 * ``setup`` -- machine construction (building the trace's replay form
   on its first replay) and code pre-touch;
 * ``replay`` -- the cycle-level main loop;

@@ -3,9 +3,9 @@
 The SU is trace-driven: each hardware context replays one software
 thread's trace in its replay form
 (:class:`~repro.functional.trace.ReplayTrace`): the static fields of
-op *i* from its per-op record, the dynamic ones (branch outcome,
-``vltcfg`` immediate, memory address, vector length) from the replay
-form's lists at index *i*.  The model implements, per cycle:
+op *i* (its ``vltcfg`` immediate included) from its per-op record, the
+dynamic ones (branch outcome, memory address, vector length) from the
+replay form's lists at index *i*.  The model implements, per cycle:
 
 * **frontend** -- ``width`` instructions per cycle shared round-robin
   across SMT contexts; L1 I-cache modelling at line granularity; a
@@ -101,11 +101,10 @@ def first_vu_op(replay: ReplayTrace, partitions: int,
                        dtype=np.int8)[replay.index]
     vector = np.flatnonzero(classes == _VECTOR)
     first = int(vector[0]) if vector.size else None
-    imms = replay.imms
     for i in np.flatnonzero(classes == _VLTCFG).tolist():
         if first is not None and i > first:
             break
-        if (imms[i] if imms[i] > 0 else num_threads) != partitions:
+        if (replay.ops[i].imm or num_threads) != partitions:
             return i
     return first
 
@@ -479,9 +478,10 @@ class ScalarUnit:
                 if regs.is_mem:
                     if ctx.vlines is None:
                         ctx.vlines = ctx.replay.vlines(self.l2.cfg.line)
-                    addrs = ctx.replay.vaddrs(i)
-                    lines = ctx.vlines[ctx.vmem_next]
-                    ctx.vmem_next += 1
+                    k = ctx.vmem_next
+                    addrs = ctx.replay.vaddrs(k)
+                    lines = ctx.vlines[k]
+                    ctx.vmem_next = k + 1
                 else:
                     addrs = lines = None
                 vu.dispatch(ctx.tid, entry, cycle, scalar_ready, pending,
@@ -499,8 +499,7 @@ class ScalarUnit:
                 budget -= 1
                 continue
             if fclass == _VLTCFG:
-                imm = ctx.replay.imms[i]
-                nthr = imm if imm > 0 else self.machine.num_threads
+                nthr = dynop.imm or self.machine.num_threads
                 if vu is None or nthr == len(vu.partitions):
                     # no change: a cheap configuration check
                     i += 1

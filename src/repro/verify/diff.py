@@ -140,9 +140,10 @@ def _columns_equal(a: Dict[str, object], b: Dict[str, object]) -> bool:
 def _diff_traces(ref: ProgramTrace, tut: ProgramTrace,
                  report: DiffReport) -> None:
     """Compare the reference functional trace with the trace under test
-    (the one the timing machine replays), thread by thread on their
-    columns; the ops of a thread whose columns differ are compared one
-    by one to name the mismatching ones."""
+    (the one the timing machine replays), thread by thread on every
+    array of their layouts (rows, pcs and sparse fields) and their op
+    tables; the ops of a thread whose layouts differ are compared one by
+    one to name the mismatching ones."""
     add = _Adder(report)
     if ref.num_threads != tut.num_threads:
         add("trace", -1, 0, f"thread counts differ: reference "

@@ -1,9 +1,10 @@
 """The timing engine driven by columnar (npz-decoded) traces.
 
-A trace decoded from the npz cache format carries only its parallel
-arrays, decoded once per pc with a check.  The timing units replay that
-form directly; DynOps are built only when a tool asks for them.  Its
-contract is exact equivalence with the executor's own DynOps: every
+A trace decoded from the npz cache format carries only its layout
+arrays (one row per pc, each op's pc, the sparse dynamic fields),
+checked at load.  The timing units replay that form directly; DynOps
+are built only when a tool asks for them.  Its contract is exact
+equivalence with the executor's own DynOps: every
 :class:`RunResult` field equal, across the full figure-3/5/6 run
 matrix, checked against the pinned goldens (:mod:`tests.goldens`).
 """
@@ -21,7 +22,7 @@ from repro.functional.trace_cache import TraceCache
 from repro.harness import experiments as E
 from repro.harness.runner import RunSpec
 from repro.isa import ProgramBuilder, S, V
-from repro.isa.registers import NUM_REG_UIDS
+from repro.isa.registers import MVL, NUM_REG_UIDS
 from repro.timing import simulate
 from repro.timing.config import get_config
 from repro.timing.run import (clear_trace_cache, get_trace_cache,
@@ -87,21 +88,58 @@ def _rewrite(blob: bytes, edit) -> bytes:
     """``blob`` with ``edit(arrays)`` applied to thread 0's columns."""
     with np.load(io.BytesIO(blob), allow_pickle=False) as npz:
         arrays = {name: npz[name].copy() for name in npz.files}
-    edit({name[3:]: a for name, a in arrays.items()
-          if name.startswith("t0.")})
+    t0 = {name[3:]: a for name, a in arrays.items()
+          if name.startswith("t0.")}
+    edit(t0)
+    arrays.update((f"t0.{name}", a) for name, a in t0.items())
     buf = io.BytesIO()
     np.savez(buf, **arrays)
     return buf.getvalue()
 
 
-def _break_repeated_pc(cols) -> None:
-    """Alter one read uid at the last op of a pc that repeats: still well
-    formed, but no longer constant per pc."""
-    pcs, r_off, r_flat = cols["pcs"], cols["r_off"], cols["r_flat"]
-    repeats = np.bincount(pcs)[pcs] > 1
-    i = max(i for i in range(pcs.size)
-            if repeats[i] and r_off[i + 1] > r_off[i])
-    r_flat[r_off[i]] = (r_flat[r_off[i]] + 1) % NUM_REG_UIDS
+def _pc_without_a_row(cols) -> None:
+    """Point op 0 (a ``vltcfg``, which carries no sparse field) at a pc
+    past the last row."""
+    cols["pcs"][0] = cols["row_pcs"][-1] + 1
+
+
+def _resize(name, delta):
+    """An edit that drops (``delta < 0``) or repeats the last entries
+    of sparse column ``name``."""
+    def edit(cols):
+        a = cols[name]
+        cols[name] = a[:delta] if delta < 0 else np.append(a, a[-delta:])
+    return edit
+
+
+def _two_addresses(cols) -> None:
+    """Give the first memory op with one address (in trfd a scalar
+    load) two; the counts still tile the addresses."""
+    counts, addrs = cols["addr_counts"], cols["addrs"]
+    k = int(np.flatnonzero(counts == 1)[0])
+    start = int(counts[:k].sum())
+    counts[k] = 2
+    cols["addrs"] = np.insert(addrs, start, addrs[start])
+
+
+#: one doctored thread-0 layout per loader check, and the error it gives
+LAYOUT_EDITS = {
+    "pc": (lambda c: c["pcs"].__setitem__(-1, MAX_PC), "out of range"),
+    "uid": (lambda c: c["row_w_flat"].__setitem__(0, NUM_REG_UIDS),
+            "out of range"),
+    "offsets": (lambda c: c["row_r_off"].__setitem__(-1, 0), "do not tile"),
+    "outcome": (lambda c: c["takens"].__setitem__(0, 2), "branch outcome"),
+    "no-row": (_pc_without_a_row, "has no row"),
+    "op-id": (lambda c: c["row_ops"].__setitem__(0, 10_000),
+              "out of range"),
+    "vl": (lambda c: c["vls"].__setitem__(0, MVL + 1), "vector length"),
+    "fewer-vls": (_resize("vls", -1), "entries for"),
+    "more-takens": (_resize("takens", 1), "entries for"),
+    "fewer-addr-counts": (_resize("addr_counts", -1), "entries for"),
+    "address-counts": (lambda c: c["addr_counts"].__setitem__(0, 5),
+                       "do not tile"),
+    "scalar-address": (_two_addresses, "exactly one address"),
+}
 
 
 class TestReplayForm:
@@ -110,22 +148,24 @@ class TestReplayForm:
     def _prog(self):
         return get_workload(self.SPEC.app).program()
 
-    def test_op_varying_within_a_pc_is_rejected(self):
-        blob = trace_to_bytes(trace_for(self._prog(), self.SPEC.threads))
+    @pytest.mark.parametrize("edit,match", list(LAYOUT_EDITS.values()),
+                             ids=list(LAYOUT_EDITS))
+    def test_malformed_columns_are_rejected(self, edit, match, tmp_path):
+        """Each loader check rejects one doctored entry, and the cache
+        counts that entry as a miss."""
+        prog = self._prog()
+        threads = self.SPEC.threads
+        blob = trace_to_bytes(trace_for(prog, threads))
         trace_from_bytes(blob)   # the intact entry decodes
-        with pytest.raises(TraceInvariantError, match="reads differ"):
-            trace_from_bytes(_rewrite(blob, _break_repeated_pc))
-
-    @pytest.mark.parametrize("edit,match", [
-        (lambda c: c["pcs"].__setitem__(-1, MAX_PC), "out of range"),
-        (lambda c: c["w_flat"].__setitem__(0, NUM_REG_UIDS), "out of range"),
-        (lambda c: c["r_off"].__setitem__(-1, 0), "do not tile"),
-        (lambda c: c["takens"].__setitem__(0, 2), "branch outcome"),
-    ], ids=["pc", "uid", "offsets", "outcome"])
-    def test_malformed_columns_are_rejected(self, edit, match):
-        blob = trace_to_bytes(trace_for(self._prog(), self.SPEC.threads))
+        bad = _rewrite(blob, edit)
         with pytest.raises(TraceInvariantError, match=match):
-            trace_from_bytes(_rewrite(blob, edit))
+            trace_from_bytes(bad)
+        cache = TraceCache(tmp_path)
+        path = cache.trace_path(prog.digest(), threads)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(bad)
+        assert cache.load_trace(prog.digest(), threads) is None
+        assert (cache.trace_hits, cache.trace_misses) == (0, 1)
 
     def test_corrupt_cache_entry_is_a_miss_and_regenerated(self, tmp_path):
         prog = self._prog()
@@ -135,7 +175,7 @@ class TestReplayForm:
         cache = TraceCache(tmp_path)
         path = cache.trace_path(prog.digest(), threads)
         path.parent.mkdir(parents=True)
-        path.write_bytes(_rewrite(good, _break_repeated_pc))
+        path.write_bytes(_rewrite(good, _pc_without_a_row))
         assert cache.load_trace(prog.digest(), threads) is None
         assert cache.trace_misses == 1
         set_trace_cache_dir(tmp_path)
@@ -171,12 +211,11 @@ class TestReplayForm:
         b.op("vst", V(3), (56, S(3)), masked=True)   # inactive gaps
         b.op("halt")
         replay = trace_for(b.build(), 1).threads[0].replay()
-        ops = [i for i, op in enumerate(replay.ops)
-               if op.spec.pool == "vmem"]
+        ops = [op for op in replay.ops if op.spec.pool == "vmem"]
         assert len(ops) == 4
         for line in (8, 64, 4096):
-            expect = [np.unique(replay.vaddrs(i) // line).tolist()
-                      for i in ops]
+            expect = [np.unique(replay.vaddrs(k) // line).tolist()
+                      for k in range(len(ops))]
             assert [list(x) for x in replay.vlines(line)] == expect
         assert any(isinstance(x, tuple) and len(x) > 1
                    for x in replay.vlines(64))

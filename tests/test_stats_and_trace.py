@@ -5,6 +5,7 @@ import pytest
 
 from repro.functional import Executor
 from repro.functional.trace import ProgramTrace, ThreadTrace
+from repro.isa.opcodes import spec
 from repro.timing.stats import DatapathUtilization, RunResult
 from repro.workloads import get_workload
 
@@ -64,21 +65,28 @@ class TestRunResultPhases:
 
 
 def _thread(tid, *ops):
-    """A column trace of ``ops``, (mnemonic, vl) pairs at pcs 0, 1, ...;
-    no op reads, writes or addresses anything."""
+    """A trace of ``ops``, (mnemonic, vl) pairs at pcs 0, 1, ...; none
+    of them is a branch or a memory op, and none reads or writes a
+    register."""
     n = len(ops)
     table = list(dict.fromkeys(op for op, _ in ops))
     none = np.full(n, -1, dtype=np.int64)
     no_offsets = np.zeros(n + 1, dtype=np.int64)
     empty = np.zeros(0, dtype=np.int64)
     cols = {
-        "pcs": np.arange(n, dtype=np.int64),
-        "ops": np.array([table.index(op) for op, _ in ops], dtype=np.int64),
-        "vls": np.array([vl for _, vl in ops], dtype=np.int64),
-        "takens": none.astype(np.int8), "tgts": none, "imms": none,
-        "has_addrs": np.zeros(n, dtype=np.int8),
-        "r_off": no_offsets, "w_off": no_offsets, "a_off": no_offsets,
-        "r_flat": empty, "w_flat": empty, "a_flat": empty,
+        "row_pcs": np.arange(n, dtype=np.int64),
+        "row_ops": np.array([table.index(op) for op, _ in ops],
+                            dtype=np.int64),
+        "row_imms": none, "row_tgts": none,
+        "row_has_addrs": np.zeros(n, dtype=np.int8),
+        "row_r_off": no_offsets, "row_r_flat": empty,
+        "row_w_off": no_offsets, "row_w_flat": empty,
+        "pcs": np.arange(n, dtype=np.int32),
+        "vls": np.array([vl for op, vl in ops if spec(op).is_vector],
+                        dtype=np.int16),
+        "takens": np.zeros(0, dtype=np.int8),
+        "jr_tgts": np.zeros(0, dtype=np.int32),
+        "addr_counts": np.zeros(0, dtype=np.int16), "addrs": empty,
     }
     return ThreadTrace(tid, cols, table)
 

@@ -119,7 +119,7 @@ class TestSharedEqualsAlone:
         replay = trace.threads[0].replay()
         first = first_vu_op(replay, 1, 1)
         assert replay.ops[first].op == "vltcfg"
-        assert replay.imms[first] == 2     # not the leading no-op vltcfg
+        assert replay.ops[first].imm == 2  # not the leading no-op vltcfg
         share = SharedPrefix()
         # one lane cannot be split in two: both replays fail alike, and
         # the shared one only after it kept its snapshot

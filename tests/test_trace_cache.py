@@ -1,10 +1,14 @@
 """Content-keyed trace memoisation and the on-disk cache."""
 
 import gc
+import json
 
+import numpy as np
 import pytest
 
-from repro.functional import ProgramTrace, TraceCache
+import repro.functional.trace_cache as trace_cache
+from repro.functional import (TRACE_FORMAT_VERSION, ProgramTrace, TraceCache,
+                              trace_to_bytes)
 from repro.functional.trace_cache import result_key
 from repro.isa import assemble
 from repro.obs.hostprof import PhaseProfiler
@@ -25,6 +29,24 @@ halt
 """
 
 _SRC_B = _SRC_A.replace("vfadd.vv", "vfmul.vv")
+
+#: two threads with every sparse field: VLs, branch outcomes, a ``jr``
+#: target and scalar and vector addresses
+_SRC_FLIP = """
+.space x 512
+tid s5
+li s1, 4
+setvl s2, s1
+li s3, &x
+vld v1, 0(s3)
+ld s4, 8(s3)
+jal s6, sub
+blt s5, s1, done
+done:
+halt
+sub:
+jr s6
+"""
 
 
 @pytest.fixture(autouse=True)
@@ -118,6 +140,78 @@ class TestDiskCache:
         assert simulate(prog, V2_CMP, num_threads=2) == fresh
         assert cache.trace_misses == 1
         assert cache.trace_hits == 0
+
+    def test_failed_store_leaves_no_file(self, tmp_path, monkeypatch):
+        """A writer that fails part-way removes its temp file and
+        leaves no entry; the streamed store writes the encoded bytes."""
+        def failing_writer(trace, fh):
+            fh.write(b"PK\x03\x04 a partial archive")
+            raise OSError("disk full")
+
+        cache = TraceCache(tmp_path)
+        prog = assemble(_SRC_A)
+        trace = trace_for(prog, 2)
+        monkeypatch.setattr(trace_cache, "write_trace", failing_writer)
+        with pytest.raises(OSError, match="disk full"):
+            cache.store_trace(prog.digest(), 2, trace)
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+        assert cache.trace_stores == 0
+        assert cache.load_trace(prog.digest(), 2) is None
+        monkeypatch.undo()
+        path = cache.store_trace(prog.digest(), 2, trace)
+        assert path.read_bytes() == trace_to_bytes(trace)
+
+    def test_stored_trace_size(self, tmp_path):
+        """A stored mpenc/4 trace takes at most 16 B per op plus 8 B per
+        address."""
+        prog = get_workload("mpenc").program()
+        trace = trace_for(prog, 4)
+        path = TraceCache(tmp_path).store_trace(prog.digest(), 4, trace)
+        addrs = sum(t.columns()["addrs"].size for t in trace.threads)
+        assert path.stat().st_size <= 16 * trace.total_ops() + 8 * addrs
+
+    def test_version_1_entry_is_replaced(self, tmp_path):
+        """An entry of the previous layout version is a miss, and the
+        regenerated trace is stored over it."""
+        prog = assemble(_SRC_A)
+        cache = TraceCache(tmp_path)
+        path = cache.store_trace(prog.digest(), 2, trace_for(prog, 2))
+        with np.load(path, allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        manifest = json.loads(bytes(arrays["manifest"]))
+        manifest["version"] = 1
+        arrays["manifest"] = np.frombuffer(json.dumps(manifest).encode(),
+                                           dtype=np.uint8)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        assert cache.load_trace(prog.digest(), 2) is None
+        assert cache.trace_misses == 1
+        clear_trace_cache()
+        cache = set_trace_cache_dir(tmp_path)
+        trace = trace_for(assemble(_SRC_A), 2)
+        assert (cache.trace_misses, cache.trace_stores) == (1, 1)
+        with np.load(path, allow_pickle=False) as npz:
+            manifest = json.loads(bytes(npz["manifest"]))
+        assert manifest["version"] == TRACE_FORMAT_VERSION == 2
+        assert path.read_bytes() == trace_to_bytes(trace)
+
+    def test_every_flipped_byte_is_a_miss_or_the_same_trace(self, tmp_path):
+        """Flip each byte of a stored two-thread trace in turn: each
+        load is a miss or re-encodes to the stored bytes, never a
+        different trace."""
+        prog = assemble(_SRC_FLIP)
+        good = trace_to_bytes(trace_for(prog, 2))
+        cache = TraceCache(tmp_path)
+        path = cache.trace_path(prog.digest(), 2)
+        path.parent.mkdir(parents=True)
+        for k in range(len(good)):
+            bad = bytearray(good)
+            bad[k] ^= 0xFF
+            path.write_bytes(bad)
+            trace = cache.load_trace(prog.digest(), 2)
+            if trace is not None:
+                assert trace_to_bytes(trace) == good, f"byte {k}"
+        assert cache.trace_hits + cache.trace_misses == len(good)
 
     def test_result_cache_roundtrip(self, tmp_path):
         cache = TraceCache(tmp_path)

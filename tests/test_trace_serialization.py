@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.functional import (TRACE_FORMAT_VERSION, Executor,
+from repro.functional import (TRACE_FORMAT_VERSION, Executor, FastExecutor,
                               trace_from_bytes, trace_to_bytes)
 from repro.isa import assemble
 
@@ -109,3 +109,37 @@ class TestTraceRoundtrip:
         trace = _trace("li s1, 5\nli s2, 7\nadd s3, s1, s2\nhalt\n",
                        num_threads=1)
         self._assert_equal(trace, trace_from_bytes(trace_to_bytes(trace)))
+
+
+_SRC_JR = _SRC.replace("barrier\n", "ld s6, 8(s3)\njal s7, sub\nbarrier\n") \
+    + "sub:\njr s7\n"
+
+
+class TestLayout:
+    """The trace layout stores each static field once per pc, each op's
+    pc once, and each dynamic field once per op that has one."""
+
+    @pytest.mark.parametrize("engine", [Executor, FastExecutor],
+                             ids=["reference", "fast"])
+    def test_one_entry_per_op_and_per_op_of_its_kind(self, engine):
+        prog = assemble(_SRC_JR)
+        trace = engine(prog, num_threads=2).run()
+        for t in trace.threads:
+            cols = t.columns()
+            ins = [prog.instrs[pc] for pc in cols["pcs"].tolist()]
+            assert len(ins) == len(t) > 0
+            rows = sorted({i.pc for i in ins})
+            assert cols["row_pcs"].tolist() == rows
+            for name in ("row_ops", "row_imms", "row_tgts",
+                         "row_has_addrs"):
+                assert cols[name].size == len(rows)
+            for kind in "rw":
+                assert cols[f"row_{kind}_off"].size == len(rows) + 1
+            mem = [i for i in ins if i.mem is not None]
+            assert cols["vls"].size == sum(i.spec.is_vector for i in ins)
+            assert cols["takens"].size == sum(i.spec.is_branch for i in ins)
+            assert cols["jr_tgts"].size == sum(i.op == "jr" for i in ins) > 0
+            assert cols["addr_counts"].size == len(mem)
+            assert cols["addrs"].size == sum(cols["addr_counts"].tolist())
+            assert all(n == 1 for i, n in zip(mem, cols["addr_counts"])
+                       if not i.spec.is_vector)

@@ -10,6 +10,7 @@ import repro.verify.diff as D
 from repro.functional.executor import Executor
 from repro.functional.trace import trace_from_bytes, trace_to_bytes
 from repro.isa.assembler import assemble
+from repro.isa.registers import reg_uid
 from repro.timing.config import get_config
 from repro.verify import differential_check, shrink_on_diff, shrink_program
 
@@ -45,21 +46,28 @@ def _prog():
 
 
 def _drop_op(trace, i):
-    """``trace`` with op ``i`` of thread 0 cut from its columns, as a
-    corrupt cached entry could hold it: well formed, one op short."""
+    """``trace`` with op ``i`` of thread 0 cut from its layout, as a
+    corrupt cached entry could hold it: well formed, one op short.  The
+    op must carry no sparse field (VL, outcome or addresses)."""
+    op = trace.threads[0].ops[i]
+    assert not (op.spec.is_vector or op.spec.is_branch or op.addrs is not None)
     with np.load(io.BytesIO(trace_to_bytes(trace)),
                  allow_pickle=False) as npz:
         arrays = {name: npz[name] for name in npz.files}
-    keep = np.arange(arrays["t0.pcs"].size) != i
-    for name in ("pcs", "ops", "vls", "takens", "tgts", "imms",
-                 "has_addrs"):
-        arrays[f"t0.{name}"] = arrays[f"t0.{name}"][keep]
-    for kind in "rwa":
-        off = arrays[f"t0.{kind}_off"]
-        arrays[f"t0.{kind}_flat"] = np.delete(arrays[f"t0.{kind}_flat"],
-                                             np.arange(off[i], off[i + 1]))
-        arrays[f"t0.{kind}_off"] = np.concatenate(
-            ([0], np.cumsum(np.diff(off)[keep])))
+    arrays["t0.pcs"] = np.delete(arrays["t0.pcs"], i)
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return trace_from_bytes(buf.getvalue())
+
+
+def _with_row_read(trace, pc, uid):
+    """``trace`` with the first read uid of pc ``pc``'s row in thread 0
+    set to ``uid``: every op at that pc now reads it."""
+    with np.load(io.BytesIO(trace_to_bytes(trace)),
+                 allow_pickle=False) as npz:
+        arrays = {name: npz[name].copy() for name in npz.files}
+    row = int(np.flatnonzero(arrays["t0.row_pcs"] == pc)[0])
+    arrays["t0.row_r_flat"][arrays["t0.row_r_off"][row]] = uid
     buf = io.BytesIO()
     np.savez(buf, **arrays)
     return trace_from_bytes(buf.getvalue())
@@ -158,6 +166,23 @@ class TestInjectedBug:
         report = differential_check(prog, get_config("base"), trace=tut)
         assert not report.ok
         assert any(m.kind == "trace" for m in report.mismatches)
+
+    def test_changed_row_uid_names_its_ops(self):
+        """One read uid changed in one pc's row is a trace mismatch at
+        each op of that pc, and only there."""
+        prog = _prog()
+        ops = Executor(prog, num_threads=1).run().threads[0].ops
+        mul = next(op for op in ops if op.op == "mul")
+        tut = _with_row_read(Executor(prog, num_threads=1).run(), mul.pc,
+                             reg_uid(("s", 9)))
+        report = differential_check(prog, get_config("base"), trace=tut)
+        assert not report.ok
+        found = [m for m in report.mismatches if m.kind == "trace"]
+        assert [m.index for m in found] == [
+            i for i, op in enumerate(ops) if op.pc == mul.pc]
+        assert len(found) == 4
+        assert all(m.thread == 0 and f"mul@pc{mul.pc}" in m.detail
+                   for m in found)
 
     def test_mismatch_list_is_capped(self, monkeypatch):
         _inject_dropped_mul_commits(monkeypatch)
